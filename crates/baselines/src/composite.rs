@@ -24,12 +24,12 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    route_stats_cached, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx,
-    Overlay, RouteCache,
+    Cached, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Plain, Probe,
+    RouteCache,
 };
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
+    ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
 
@@ -97,6 +97,52 @@ impl CompositeFlat {
     fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
         self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
     }
+
+    /// Resolve `q` under `probe`: per attribute, one lookup of the
+    /// composite key of the low value, from whose root a range walks the
+    /// attribute's ring segment. (Fault injection keeps the trait's
+    /// fault-unaware default: this ablation is not part of the chaos
+    /// sweeps.)
+    fn query_with<P: Probe>(
+        &self,
+        phys: usize,
+        q: &Query,
+        probe: &mut P,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let from = self.node_of(phys)?;
+        let mut out = OutcomeBuilder::new(q.arity());
+        // One probe-list scratch serves every sub-query of this query.
+        let mut walk: Vec<NodeIdx> = Vec::new();
+        for (i, sub) in q.subs.iter().enumerate() {
+            if out.tally.hops >= probe.hop_budget() {
+                continue;
+            }
+            let sub_msg = probe.sub_msg(i);
+            let (lo, hi) = sub.target.bounds();
+            let lo_key = self.key_of(sub.attr, lo);
+            let route = probe.lookup(self.host.net(), from, lo_key, 0, sub_msg);
+            let Some(route) = out.lookup(route)? else { continue };
+            walk.clear();
+            let truncated = match hi {
+                None => {
+                    walk.push(route.terminal);
+                    false
+                }
+                Some(h) => probe.walk(
+                    &self.host.range_walk(lo_key, self.key_of(sub.attr, h), 0),
+                    route.terminal,
+                    sub_msg,
+                    &mut walk,
+                ),
+            };
+            let mut owners = Vec::new();
+            for &node in &walk {
+                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
+            }
+            out.answer(&walk, owners, !truncated);
+        }
+        Ok(out.finish(q.arity(), probe.account()))
+    }
 }
 
 impl ResourceDiscovery for CompositeFlat {
@@ -137,41 +183,7 @@ impl ResourceDiscovery for CompositeFlat {
     }
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let lo_key = self.key_of(sub.attr, lo);
-            let route = self.host.net().route_stats(from, lo_key)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => self.host.walk_range_into(
-                    route.terminal,
-                    lo_key,
-                    self.key_of(sub.attr, h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Plain)?.outcome)
     }
 
     fn query_from_cached(
@@ -180,42 +192,7 @@ impl ResourceDiscovery for CompositeFlat {
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let lo_key = self.key_of(sub.attr, lo);
-            let route = route_stats_cached(self.host.net(), from, lo_key, 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => self.host.walk_range_cached_into(
-                    route.terminal,
-                    lo_key,
-                    self.key_of(sub.attr, h),
-                    0,
-                    cache,
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -293,6 +270,8 @@ impl ResourceDiscovery for CompositeFlat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grid_resource::discovery::join_owners;
+    use grid_resource::ValueTarget;
     use grid_resource::{QueryMix, Workload, WorkloadConfig};
     use rand::{Rng, SeedableRng};
 

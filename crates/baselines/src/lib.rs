@@ -39,7 +39,7 @@ mod mercury;
 mod sword;
 
 pub use composite::{CompositeConfig, CompositeFlat};
-pub use host::ChordHost;
+pub use host::{ArcWalk, ChordHost};
 pub use maan::{Maan, MaanConfig};
 pub use mercury::{Mercury, MercuryConfig};
 pub use sword::{Sword, SwordConfig};

@@ -17,13 +17,12 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    hashing::splitmix64, route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode,
-    ConsistentHash, DhtError, FaultAccount, FaultPlan, LoadDist, LocalityHash, LookupTally,
-    NodeIdx, Overlay, RouteCache,
+    hashing::splitmix64, BuildMode, Cached, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist,
+    LocalityHash, LookupTally, NodeIdx, Plain, Probe, RouteCache,
 };
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
+    ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
 
@@ -99,6 +98,66 @@ impl Maan {
     fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
         self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
     }
+
+    /// Resolve `q` under `probe`: two lookups per attribute — the
+    /// attribute registration, then the value registration, from whose
+    /// root a range walks the ring. Attribute and value keys share one
+    /// ring, so one cache salt serves both; the keys disambiguate.
+    fn query_with<P: Probe>(
+        &self,
+        phys: usize,
+        q: &Query,
+        probe: &mut P,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let from = self.node_of(phys)?;
+        let net = self.host.net();
+        let mut out = OutcomeBuilder::new(q.arity());
+        // One probe-list scratch serves every sub-query of this query.
+        let mut walk: Vec<NodeIdx> = Vec::new();
+        for (i, sub) in q.subs.iter().enumerate() {
+            if out.tally.hops >= probe.hop_budget() {
+                continue;
+            }
+            let sub_msg = probe.sub_msg(i);
+            // Lookup 1: the attribute registration. Its failure degrades
+            // the sub-query (metadata unavailable) but the value walk can
+            // still produce the owners.
+            let attr_route =
+                probe.lookup(net, from, self.attr_key(sub.attr), 0, splitmix64(sub_msg));
+            let attr_ok = match out.lookup(attr_route)? {
+                Some(r) => {
+                    out.visit(r.terminal);
+                    true
+                }
+                None => false,
+            };
+            // Lookup 2: the value registration; ranges walk the ring.
+            // Without it the sub-query has no owners at all.
+            let (lo, hi) = sub.target.bounds();
+            let lo_key = self.value_key(lo);
+            let value_route = probe.lookup(net, from, lo_key, 0, sub_msg);
+            let Some(route) = out.lookup(value_route)? else { continue };
+            walk.clear();
+            let truncated = match hi {
+                None => {
+                    walk.push(route.terminal);
+                    false
+                }
+                Some(h) => probe.walk(
+                    &self.host.range_walk(lo_key, self.value_key(h), 0),
+                    route.terminal,
+                    sub_msg,
+                    &mut walk,
+                ),
+            };
+            let mut owners = Vec::new();
+            for &node in &walk {
+                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
+            }
+            out.answer(&walk, owners, attr_ok && !truncated);
+        }
+        Ok(out.finish(q.arity(), probe.account()))
+    }
 }
 
 impl ResourceDiscovery for Maan {
@@ -153,47 +212,7 @@ impl ResourceDiscovery for Maan {
     }
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            // Lookup 1: the attribute registration (existence/metadata).
-            let attr_route = self.host.net().route_stats(from, self.attr_key(sub.attr))?;
-            tally.lookups += 1;
-            tally.hops += attr_route.hops;
-            tally.visited += 1;
-            probed_all.push(attr_route.terminal);
-            // Lookup 2: the value registration; ranges walk the ring.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let value_route = self.host.net().route_stats(from, self.value_key(lo))?;
-            tally.lookups += 1;
-            tally.hops += value_route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(value_route.terminal),
-                Some(h) => self.host.walk_range_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Plain)?.outcome)
     }
 
     fn query_from_cached(
@@ -202,52 +221,7 @@ impl ResourceDiscovery for Maan {
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            // Lookup 1: the attribute registration. Attribute and value
-            // keys share one ring, so one salt serves both — the keys
-            // themselves disambiguate.
-            let attr_route =
-                route_stats_cached(self.host.net(), from, self.attr_key(sub.attr), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += attr_route.hops;
-            tally.visited += 1;
-            probed_all.push(attr_route.terminal);
-            // Lookup 2: the value registration; ranges walk the ring.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let value_route =
-                route_stats_cached(self.host.net(), from, self.value_key(lo), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += value_route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(value_route.terminal),
-                Some(h) => self.host.walk_range_cached_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    0,
-                    cache,
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -257,108 +231,7 @@ impl ResourceDiscovery for Maan {
         plan: &FaultPlan,
         msg_seed: u64,
     ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            // Lookup 1: the attribute registration. Its failure degrades
-            // the sub-query (metadata unavailable) but the value walk can
-            // still produce the owners.
-            tally.lookups += 1;
-            let attr_msg = splitmix64(sub_msg);
-            let mut attr_ok = false;
-            match route_with_retry(
-                self.host.net(),
-                from,
-                self.attr_key(sub.attr),
-                plan,
-                attr_msg,
-                &mut acct,
-            ) {
-                Ok(r) => {
-                    tally.hops += r.hops;
-                    tally.visited += 1;
-                    probed_all.push(r.terminal);
-                    attr_ok = true;
-                }
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                }
-                Err(e) => return Err(e),
-            }
-            // Lookup 2: the value registration; ranges walk the ring.
-            // Without it the sub-query has no owners at all.
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            tally.lookups += 1;
-            let value_route = match route_with_retry(
-                self.host.net(),
-                from,
-                self.value_key(lo),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += value_route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match hi {
-                None => {
-                    walk.push(value_route.terminal);
-                    false
-                }
-                Some(h) => self.host.walk_range_faulty_into(
-                    value_route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    plan,
-                    walk_msg_id(sub_msg),
-                    &mut acct,
-                    &mut walk,
-                ),
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.host.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if attr_ok && !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        self.query_with(phys, q, &mut Faulty::new(plan, msg_seed))
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -474,6 +347,8 @@ impl ResourceDiscovery for Maan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grid_resource::discovery::join_owners;
+    use grid_resource::ValueTarget;
     use grid_resource::{QueryMix, Workload, WorkloadConfig};
     use rand::SeedableRng;
 

@@ -15,12 +15,12 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LocalityHash, LookupTally, NodeIdx, Overlay, RouteCache,
+    BuildMode, Cached, DhtError, FaultPlan, Faulty, LoadDist, LocalityHash, LookupTally, NodeIdx,
+    Overlay, Plain, Probe, RouteCache,
 };
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
-    ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
+    ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
 
@@ -106,6 +106,53 @@ impl Mercury {
     fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
         self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
     }
+
+    /// Resolve `q` under `probe`: per attribute, one lookup in that
+    /// attribute's hub, from whose root a range walks the hub ring.
+    fn query_with<P: Probe>(
+        &self,
+        phys: usize,
+        q: &Query,
+        probe: &mut P,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let from = self.node_of(phys)?;
+        let mut out = OutcomeBuilder::new(q.arity());
+        // One probe-list scratch serves every sub-query of this query.
+        let mut walk: Vec<NodeIdx> = Vec::new();
+        for (i, sub) in q.subs.iter().enumerate() {
+            if out.tally.hops >= probe.hop_budget() {
+                continue;
+            }
+            let sub_msg = probe.sub_msg(i);
+            let hub = &self.hubs[sub.attr.0 as usize];
+            // Hubs are independent rings sharing one cache: the hub index
+            // salts every entry so equal (from, key) pairs never alias.
+            let salt = u64::from(sub.attr.0);
+            let (lo, hi) = sub.target.bounds();
+            let lo_key = self.value_key(lo);
+            let route = probe.lookup(hub.net(), from, lo_key, salt, sub_msg);
+            let Some(route) = out.lookup(route)? else { continue };
+            walk.clear();
+            let truncated = match hi {
+                None => {
+                    walk.push(route.terminal);
+                    false
+                }
+                Some(h) => probe.walk(
+                    &hub.range_walk(lo_key, self.value_key(h), salt),
+                    route.terminal,
+                    sub_msg,
+                    &mut walk,
+                ),
+            };
+            let mut owners = Vec::new();
+            for &node in &walk {
+                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
+            }
+            out.answer(&walk, owners, !truncated);
+        }
+        Ok(out.finish(q.arity(), probe.account()))
+    }
 }
 
 impl ResourceDiscovery for Mercury {
@@ -169,41 +216,7 @@ impl ResourceDiscovery for Mercury {
     }
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let hub = &self.hubs[sub.attr.0 as usize];
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let route = hub.net().route_stats(from, self.value_key(lo))?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => hub.walk_range_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Plain)?.outcome)
     }
 
     fn query_from_cached(
@@ -212,45 +225,7 @@ impl ResourceDiscovery for Mercury {
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let hub = &self.hubs[sub.attr.0 as usize];
-            // Hubs are independent rings sharing one cache: the hub index
-            // salts every entry so equal (from, key) pairs never alias.
-            let salt = u64::from(sub.attr.0);
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            let route = route_stats_cached(hub.net(), from, self.value_key(lo), salt, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match hi {
-                None => walk.push(route.terminal),
-                Some(h) => hub.walk_range_cached_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    salt,
-                    cache,
-                    &mut walk,
-                ),
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -260,82 +235,7 @@ impl ResourceDiscovery for Mercury {
         plan: &FaultPlan,
         msg_seed: u64,
     ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let hub = &self.hubs[sub.attr.0 as usize];
-            let (lo, hi) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => (low, Some(high)),
-            };
-            tally.lookups += 1;
-            let route = match route_with_retry(
-                hub.net(),
-                from,
-                self.value_key(lo),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match hi {
-                None => {
-                    walk.push(route.terminal);
-                    false
-                }
-                Some(h) => hub.walk_range_faulty_into(
-                    route.terminal,
-                    self.value_key(lo),
-                    self.value_key(h),
-                    plan,
-                    walk_msg_id(sub_msg),
-                    &mut acct,
-                    &mut walk,
-                ),
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                hub.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        self.query_with(phys, q, &mut Faulty::new(plan, msg_seed))
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -484,6 +384,8 @@ impl ResourceDiscovery for Mercury {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grid_resource::discovery::join_owners;
+    use grid_resource::ValueTarget;
     use grid_resource::{QueryMix, Workload, WorkloadConfig};
     use rand::SeedableRng;
 

@@ -10,11 +10,11 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    route_stats_cached, route_with_retry, sub_msg_id, BuildMode, ConsistentHash, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LookupTally, NodeIdx, Overlay, RouteCache,
+    BuildMode, Cached, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx,
+    Plain, Probe, RouteCache,
 };
 use grid_resource::{
-    discovery::join_owners, AttrId, AttributeSpace, FaultyOutcome, PieceKey, Query, QueryOutcome,
+    AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
     ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
@@ -83,6 +83,30 @@ impl Sword {
     fn node_of(&self, phys: usize) -> Result<NodeIdx, DhtError> {
         self.phys_node.get(phys).copied().flatten().ok_or(DhtError::NodeNotFound { index: phys })
     }
+
+    /// Resolve `q` under `probe`: one lookup per attribute, stopping at
+    /// the attribute root — it holds everything, so there is no walk and
+    /// a sub-query that reaches its root is fully resolved.
+    fn query_with<P: Probe>(
+        &self,
+        phys: usize,
+        q: &Query,
+        probe: &mut P,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let from = self.node_of(phys)?;
+        let mut out = OutcomeBuilder::new(q.arity());
+        for (i, sub) in q.subs.iter().enumerate() {
+            if out.tally.hops >= probe.hop_budget() {
+                continue;
+            }
+            let key = self.key_of(sub.attr);
+            let route = probe.lookup(self.host.net(), from, key, 0, probe.sub_msg(i));
+            let Some(route) = out.lookup(route)? else { continue };
+            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
+            out.answer(&[route.terminal], owners, true);
+        }
+        Ok(out.finish(q.arity(), probe.account()))
+    }
 }
 
 impl ResourceDiscovery for Sword {
@@ -132,21 +156,7 @@ impl ResourceDiscovery for Sword {
     }
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all = Vec::with_capacity(q.subs.len());
-        for sub in &q.subs {
-            let route = self.host.net().route_stats(from, self.key_of(sub.attr))?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            tally.visited += 1; // the root holds everything; no probing
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Plain)?.outcome)
     }
 
     fn query_from_cached(
@@ -155,23 +165,7 @@ impl ResourceDiscovery for Sword {
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        // SWORD stops at the attribute root: the whole query cost is its
-        // lookups, so caching routes alone covers the entire path.
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub = Vec::with_capacity(q.subs.len());
-        let mut probed_all = Vec::with_capacity(q.subs.len());
-        for sub in &q.subs {
-            let route = route_stats_cached(self.host.net(), from, self.key_of(sub.attr), 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            tally.visited += 1; // the root holds everything; no probing
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -181,55 +175,7 @@ impl ResourceDiscovery for Sword {
         plan: &FaultPlan,
         msg_seed: u64,
     ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub = Vec::new();
-        let mut probed_all = Vec::new();
-        let mut subs_resolved = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            tally.lookups += 1;
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let route = match route_with_retry(
-                self.host.net(),
-                from,
-                self.key_of(sub.attr),
-                plan,
-                sub_msg,
-                &mut acct,
-            ) {
-                Ok(r) => r,
-                Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                    tally.hops += hops;
-                    continue;
-                }
-                Err(e) => return Err(e),
-            };
-            tally.hops += route.hops;
-            tally.visited += 1;
-            let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
-            tally.matches += owners.len();
-            probed_all.push(route.terminal);
-            per_sub.push(owners);
-            // SWORD stops at the root: a sub-query that reached it is
-            // fully resolved, there is no walk to truncate.
-            subs_resolved += 1;
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered: subs_resolved,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        self.query_with(phys, q, &mut Faulty::new(plan, msg_seed))
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -309,6 +255,8 @@ impl ResourceDiscovery for Sword {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dht_core::Overlay;
+    use grid_resource::discovery::join_owners;
     use grid_resource::{canonicalize_pieces, count_surviving, QueryMix, Workload, WorkloadConfig};
     use rand::{Rng, SeedableRng};
 

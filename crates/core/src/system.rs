@@ -3,15 +3,15 @@
 use crate::keys::{KeyDeriver, Placement};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{
-    probe_step, route_stats_cached, route_with_retry, sub_msg_id, walk_msg_id, BuildMode, DhtError,
-    FaultAccount, FaultPlan, LoadDist, LookupTally, NodeIdx, Overlay, RepairStats, RouteCache,
-    WalkStep,
+    BuildMode, Cached, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx, Overlay, Plain,
+    Probe, RepairStats, RouteCache, Walk, WalkEnd, WalkKey, WalkStep,
 };
 use grid_resource::{
-    discovery::join_owners, AttributeSpace, Directory, FaultyOutcome, PieceKey, Query,
-    QueryOutcome, ReplicaStore, ResourceDiscovery, ResourceInfo, SelectivityEstimator, ValueTarget,
+    AttributeSpace, Directory, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
+    ReplicaStore, ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
+use std::ops::ControlFlow;
 
 /// Construction parameters for [`Lorm`].
 #[derive(Debug, Clone, Copy)]
@@ -204,11 +204,10 @@ impl Lorm {
         self.total_pieces += 1;
     }
 
-    /// Probe the intra-cluster walk of a range query: starting at the root
-    /// of `ℋ(low)`, follow inside-leaf successors while the next member\'s
+    /// The intra-cluster walk of a range query: starting at the root of
+    /// `ℋ(low)`, follow inside-leaf successors while the next member's
     /// value sector still intersects the queried arc `[ℋ(low), ℋ(high)]`
-    /// (Proposition 3.1). Returns the probed nodes in walk order,
-    /// including the start.
+    /// (Proposition 3.1). Run it through a [`Probe`].
     ///
     /// The stop rule is the *sector transition*: a successor is probed iff
     /// the first cyclic position it owns (rather than the current node)
@@ -216,93 +215,16 @@ impl Lorm {
     /// ownership wraps — e.g. a two-member cluster where `root(low)` and
     /// `root(high)` coincide but the member in between owns interior
     /// positions.
-    fn range_walk_into(&self, start: NodeIdx, lo_pos: u8, hi_pos: u8, out: &mut Vec<NodeIdx>) {
-        let d = self.overlay.dimension();
-        let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d);
-        out.push(start);
-        let mut cur = start;
-        for _ in 0..d {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            if CycloidId::cw_cyclic_dist(lo_pos, p, d) > span {
-                break;
-            }
-            out.push(next);
-            cur = next;
-        }
+    fn range_walk(&self, lo_pos: u8, hi_pos: u8) -> ClusterWalk<'_> {
+        let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, self.overlay.dimension());
+        ClusterWalk { lorm: self, arc: Some((lo_pos, u64::from(span))) }
     }
 
-    /// The cached twin of [`Self::range_walk_into`] — identical emission
-    /// by construction. A fresh-epoch segment cached for at least this
-    /// span replays through the walk's own stop rule (`dist <= span`);
-    /// otherwise the walk runs for real and its emission is recorded.
-    ///
-    /// A walk that stopped for a span-*independent* reason (no successor,
-    /// full circle, no sector transition, the `d`-probe budget) emitted
-    /// everything reachable and is cached with an unbounded span; only a
-    /// walk stopped by the arc rule is bounded to the span it ran for.
-    fn range_walk_cached_into(
-        &self,
-        start: NodeIdx,
-        lo_pos: u8,
-        hi_pos: u8,
-        cache: &mut RouteCache,
-        out: &mut Vec<NodeIdx>,
-    ) {
-        let d = self.overlay.dimension();
-        let span = u64::from(CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d));
-        let epoch = self.overlay.epoch();
-        out.push(start);
-        if let Some(steps) = cache.walk_lookup(0, start, u64::from(lo_pos), span, epoch) {
-            for s in steps {
-                if s.dist > span {
-                    break;
-                }
-                out.push(s.node);
-            }
-            return;
-        }
-        // Two-touch admission (see `RouteCache::admit_walk`): record only
-        // keys seen before, so one-shot walks skip the per-step copy.
-        let mut rec = if cache.admit_walk(0, start, u64::from(lo_pos), epoch) {
-            Some(cache.begin_walk())
-        } else {
-            None
-        };
-        let mut cur = start;
-        let mut rule_stop = false;
-        for _ in 0..d {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            let dist = u64::from(CycloidId::cw_cyclic_dist(lo_pos, p, d));
-            if dist > span {
-                rule_stop = true;
-                break;
-            }
-            if let Some(rec) = rec.as_mut() {
-                rec.push(WalkStep { node: next, dist });
-            }
-            out.push(next);
-            cur = next;
-        }
-        if let Some(rec) = rec {
-            let stored_span = if rule_stop { span } else { u64::MAX };
-            cache.commit_walk(0, start, u64::from(lo_pos), stored_span, epoch, rec);
-        }
+    /// The walk over every member of the start's cluster (ablation mode:
+    /// a range query without locality-preserving placement cannot stop
+    /// early, so there is no stop rule and nothing worth caching).
+    fn full_cluster_walk(&self) -> ClusterWalk<'_> {
+        ClusterWalk { lorm: self, arc: None }
     }
 
     /// First cyclic position, walking clockwise from `cur`, that is owned
@@ -327,99 +249,102 @@ impl Lorm {
         None
     }
 
-    /// Probe every member of `start`'s cluster (ablation mode: a range
-    /// query without locality-preserving placement cannot stop early).
-    fn full_cluster_walk_into(&self, start: NodeIdx, out: &mut Vec<NodeIdx>) {
-        let d = self.overlay.dimension();
-        out.push(start);
-        let mut cur = start;
-        for _ in 0..d {
-            match self.overlay.cluster_successor(cur).ok().flatten() {
-                Some(next) if next != start => {
-                    out.push(next);
-                    cur = next;
+    /// Resolve `q` under `probe`: per attribute, one lookup of the
+    /// rescID of the low value, from whose root a range walks the
+    /// attribute's cluster.
+    fn query_with<P: Probe>(
+        &self,
+        phys: usize,
+        q: &Query,
+        probe: &mut P,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let from = self.node_of(phys)?;
+        let mut out = OutcomeBuilder::new(q.arity());
+        // One probe-list scratch serves every sub-query of this query.
+        let mut walk: Vec<NodeIdx> = Vec::new();
+        for (i, sub) in q.subs.iter().enumerate() {
+            // Per-query hop budget: once exhausted, remaining sub-queries
+            // fail unattempted.
+            if out.tally.hops >= probe.hop_budget() {
+                continue;
+            }
+            let sub_msg = probe.sub_msg(i);
+            let (low, high) = sub.target.bounds();
+            let resc_id = self.keys.resc_id(sub.attr, low);
+            let route = probe.lookup(&self.overlay, from, resc_id, 0, sub_msg);
+            let Some(route) = out.lookup(route)? else { continue };
+            walk.clear();
+            let truncated = match high {
+                None => {
+                    walk.push(route.terminal);
+                    false
                 }
-                _ => break,
-            }
-        }
-    }
-
-    fn matches_in_into(
-        &self,
-        node: NodeIdx,
-        attr: grid_resource::AttrId,
-        t: &ValueTarget,
-        out: &mut Vec<usize>,
-    ) {
-        self.directories[node.0].matching_owners_into(attr, t, out);
-    }
-
-    /// Fault-aware variant of [`Self::range_walk_into`]: each advance is
-    /// a probe message subject to the plan's drop coin (one retry) and to
-    /// the dead-member check. Returns `true` when a fault truncated the
-    /// walk before the stop rule fired.
-    #[allow(clippy::too_many_arguments)] // mirrors the plain walk plus the fault triple
-    fn range_walk_faulty_into(
-        &self,
-        start: NodeIdx,
-        lo_pos: u8,
-        hi_pos: u8,
-        plan: &FaultPlan,
-        walk_msg: u64,
-        acct: &mut FaultAccount,
-        out: &mut Vec<NodeIdx>,
-    ) -> bool {
-        let d = self.overlay.dimension();
-        let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, d);
-        out.push(start);
-        let mut cur = start;
-        for step in 1..=usize::from(d) {
-            let Some(next) = self.overlay.cluster_successor(cur).ok().flatten() else {
-                break;
-            };
-            if next == start {
-                break;
-            }
-            let Some(p) = self.transition_position(cur, next) else {
-                break;
-            };
-            if CycloidId::cw_cyclic_dist(lo_pos, p, d) > span {
-                break;
-            }
-            if !probe_step(plan, walk_msg, step, next, acct) {
-                return true;
-            }
-            out.push(next);
-            cur = next;
-        }
-        false
-    }
-
-    /// Fault-aware variant of [`Self::full_cluster_walk_into`].
-    fn full_cluster_walk_faulty_into(
-        &self,
-        start: NodeIdx,
-        plan: &FaultPlan,
-        walk_msg: u64,
-        acct: &mut FaultAccount,
-        out: &mut Vec<NodeIdx>,
-    ) -> bool {
-        let d = self.overlay.dimension();
-        out.push(start);
-        let mut cur = start;
-        for step in 1..=usize::from(d) {
-            match self.overlay.cluster_successor(cur).ok().flatten() {
-                Some(next) if next != start => {
-                    if !probe_step(plan, walk_msg, step, next, acct) {
-                        return true;
-                    }
-                    out.push(next);
-                    cur = next;
+                Some(high) => {
+                    let cluster = match self.keys.placement() {
+                        // Proposition 3.1: matching roots are contiguous.
+                        Placement::Lph => {
+                            self.range_walk(self.keys.cyclic_of(low), self.keys.cyclic_of(high))
+                        }
+                        // Ablation: without locality preservation, matches
+                        // can sit anywhere in the cluster — probe it all.
+                        Placement::Hashed => self.full_cluster_walk(),
+                    };
+                    probe.walk(&cluster, route.terminal, sub_msg, &mut walk)
                 }
-                _ => break,
+            };
+            let mut owners = Vec::new();
+            for &node in &walk {
+                self.directories[node.0].matching_owners_into(sub.attr, &sub.target, &mut owners);
             }
+            out.answer(&walk, owners, !truncated);
         }
-        false
+        Ok(out.finish(q.arity(), probe.account()))
+    }
+}
+
+/// A walk along one Cycloid cluster's inside leaf set (see
+/// [`Lorm::range_walk`] and [`Lorm::full_cluster_walk`]). With an arc,
+/// each step carries the cyclic distance from `lo` of the first position
+/// the next member owns — the quantity the sector rule (`dist <= span`)
+/// tests.
+struct ClusterWalk<'a> {
+    lorm: &'a Lorm,
+    /// `(lo position, span)` of the queried arc; `None` walks the whole
+    /// cluster.
+    arc: Option<(u8, u64)>,
+}
+
+impl Walk for ClusterWalk<'_> {
+    fn budget(&self) -> usize {
+        usize::from(self.lorm.overlay.dimension())
+    }
+
+    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> ControlFlow<WalkEnd, WalkStep> {
+        let overlay = &self.lorm.overlay;
+        let next = match overlay.cluster_successor(cur).ok().flatten() {
+            Some(next) if next != start => next,
+            _ => return ControlFlow::Break(WalkEnd::Exhausted),
+        };
+        let Some((lo_pos, _)) = self.arc else {
+            return ControlFlow::Continue(WalkStep { node: next, dist: 0 });
+        };
+        let Some(p) = self.lorm.transition_position(cur, next) else {
+            return ControlFlow::Break(WalkEnd::Exhausted);
+        };
+        let dist = u64::from(CycloidId::cw_cyclic_dist(lo_pos, p, overlay.dimension()));
+        if !self.admits(dist) {
+            return ControlFlow::Break(WalkEnd::Covered);
+        }
+        ControlFlow::Continue(WalkStep { node: next, dist })
+    }
+
+    fn admits(&self, dist: u64) -> bool {
+        self.arc.is_none_or(|(_, span)| dist <= span)
+    }
+
+    fn cache_key(&self) -> Option<WalkKey> {
+        let (lo_pos, span) = self.arc?;
+        Some(WalkKey { salt: 0, lo: u64::from(lo_pos), span, epoch: self.lorm.overlay.epoch() })
     }
 }
 
@@ -497,46 +422,7 @@ impl ResourceDiscovery for Lorm {
     }
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            let route = self.overlay.route_stats(from, resc_id)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match bounds {
-                None => walk.push(route.terminal),
-                Some((lo, hi)) => {
-                    match self.keys.placement() {
-                        // Proposition 3.1: matching roots are contiguous.
-                        Placement::Lph => self.range_walk_into(route.terminal, lo, hi, &mut walk),
-                        // Ablation: without locality preservation, matches
-                        // can sit anywhere in the cluster — probe it all.
-                        Placement::Hashed => self.full_cluster_walk_into(route.terminal, &mut walk),
-                    }
-                }
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Plain)?.outcome)
     }
 
     fn query_from_cached(
@@ -545,47 +431,7 @@ impl ResourceDiscovery for Lorm {
         q: &Query,
         cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::with_capacity(q.subs.len());
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        // One probe-list scratch serves every sub-query of this query.
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        for sub in &q.subs {
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            let route = route_stats_cached(&self.overlay, from, resc_id, 0, cache)?;
-            tally.lookups += 1;
-            tally.hops += route.hops;
-            walk.clear();
-            match bounds {
-                None => walk.push(route.terminal),
-                Some((lo, hi)) => {
-                    match self.keys.placement() {
-                        Placement::Lph => {
-                            self.range_walk_cached_into(route.terminal, lo, hi, cache, &mut walk);
-                        }
-                        // Ablation mode stays uncached: the full-cluster
-                        // walk has no stop rule worth memoizing.
-                        Placement::Hashed => self.full_cluster_walk_into(route.terminal, &mut walk),
-                    }
-                }
-            }
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            per_sub.push(owners);
-        }
-        Ok(QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all })
+        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -595,92 +441,7 @@ impl ResourceDiscovery for Lorm {
         plan: &FaultPlan,
         msg_seed: u64,
     ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from(phys, q)?, q.arity()));
-        }
-        let from = self.node_of(phys)?;
-        let mut tally = LookupTally::default();
-        let mut acct = FaultAccount::default();
-        let mut per_sub: Vec<Vec<usize>> = Vec::new();
-        let mut probed_all: Vec<NodeIdx> = Vec::new();
-        let mut walk: Vec<NodeIdx> = Vec::new();
-        let mut subs_resolved = 0usize;
-        let mut subs_answered = 0usize;
-        for (i, sub) in q.subs.iter().enumerate() {
-            // Per-query hop budget: once exhausted, remaining sub-queries
-            // fail unattempted.
-            if tally.hops >= plan.hop_budget() {
-                continue;
-            }
-            let sub_msg = sub_msg_id(msg_seed, i);
-            let (lookup_value, bounds) = match sub.target {
-                ValueTarget::Point(v) => (v, None),
-                ValueTarget::Range { low, high } => {
-                    (low, Some((self.keys.cyclic_of(low), self.keys.cyclic_of(high))))
-                }
-            };
-            let resc_id = self.keys.resc_id(sub.attr, lookup_value);
-            tally.lookups += 1;
-            let route =
-                match route_with_retry(&self.overlay, from, resc_id, plan, sub_msg, &mut acct) {
-                    Ok(r) => r,
-                    Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
-                        tally.hops += hops;
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                };
-            tally.hops += route.hops;
-            subs_answered += 1;
-            walk.clear();
-            let truncated = match bounds {
-                None => {
-                    walk.push(route.terminal);
-                    false
-                }
-                Some((lo, hi)) => {
-                    let wm = walk_msg_id(sub_msg);
-                    match self.keys.placement() {
-                        Placement::Lph => self.range_walk_faulty_into(
-                            route.terminal,
-                            lo,
-                            hi,
-                            plan,
-                            wm,
-                            &mut acct,
-                            &mut walk,
-                        ),
-                        Placement::Hashed => self.full_cluster_walk_faulty_into(
-                            route.terminal,
-                            plan,
-                            wm,
-                            &mut acct,
-                            &mut walk,
-                        ),
-                    }
-                }
-            };
-            tally.visited += walk.len();
-            let mut owners = Vec::new();
-            for &node in &walk {
-                self.matches_in_into(node, sub.attr, &sub.target, &mut owners);
-            }
-            probed_all.extend_from_slice(&walk);
-            tally.matches += owners.len();
-            if !truncated {
-                subs_resolved += 1;
-            }
-            per_sub.push(owners);
-        }
-        let outcome = QueryOutcome { tally, owners: join_owners(per_sub), probed: probed_all };
-        Ok(FaultyOutcome {
-            outcome,
-            subs_resolved,
-            subs_answered,
-            subs_total: q.arity(),
-            retries: acct.retries,
-            dropped_msgs: acct.dropped_msgs,
-        })
+        self.query_with(phys, q, &mut Faulty::new(plan, msg_seed))
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -787,10 +548,16 @@ impl ResourceDiscovery for Lorm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use grid_resource::{AttrId, QueryMix, SubQuery, Workload, WorkloadConfig};
+    use grid_resource::{AttrId, QueryMix, SubQuery, ValueTarget, Workload, WorkloadConfig};
     use rand::SeedableRng;
 
     fn small_workload() -> (Workload, Lorm) {
+        small_workload_placed(Placement::Lph)
+    }
+
+    /// [`small_workload`] under an explicit value placement (`Hashed`
+    /// range queries take the full-cluster walk).
+    fn small_workload_placed(placement: Placement) -> (Workload, Lorm) {
         let mut rng = SmallRng::seed_from_u64(0xAB);
         let cfg = WorkloadConfig {
             num_attrs: 30,
@@ -799,8 +566,7 @@ mod tests {
             ..Default::default()
         };
         let w = Workload::generate(cfg, &mut rng).unwrap();
-        let mut l =
-            Lorm::new(512, &w.space, LormConfig { dimension: 8, seed: 0xD0, ..Default::default() });
+        let mut l = Lorm::new(512, &w.space, LormConfig { dimension: 8, seed: 0xD0, placement });
         l.place_all(&w.reports);
         (w, l)
     }
@@ -827,44 +593,57 @@ mod tests {
 
     #[test]
     fn cached_query_is_identical_to_plain() {
-        let (w, mut l) = small_workload();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..60usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = l.query_from(i % 512, &q).unwrap();
-                let cached = l.query_from_cached(i % 512, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
+        // Both placements: `Hashed` range queries take the (uncached)
+        // full-cluster walk, `Lph` the cached sector walk.
+        for placement in [Placement::Lph, Placement::Hashed] {
+            let (w, mut l) = small_workload_placed(placement);
+            let mut cache = RouteCache::new();
+            let mut rng = SmallRng::seed_from_u64(0xCA);
+            for mix in [QueryMix::NonRange, QueryMix::Range] {
+                for i in 0..60usize {
+                    let q = w.random_query(3, mix, &mut rng);
+                    let plain = l.query_from(i % 512, &q).unwrap();
+                    let cached = l.query_from_cached(i % 512, &q, &mut cache).unwrap();
+                    assert_eq!(cached, plain, "{placement:?} {mix:?} query {i}");
+                }
             }
-        }
-        assert!(cache.hits() > 0, "repeated sub-query lookups must hit");
-        // Churn bumps the epoch: every stale entry misses, and the cached
-        // path keeps matching the plain path on the mutated overlay.
-        l.leave_physical(7).unwrap();
-        l.stabilize();
-        l.place_all(&w.reports);
-        for i in 0..30usize {
-            let q = w.random_query(3, QueryMix::Range, &mut rng);
-            let plain = l.query_from(i % 500 + 8, &q).unwrap();
-            let cached = l.query_from_cached(i % 500 + 8, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
+            assert!(cache.hits() > 0, "repeated sub-query lookups must hit");
+            if placement == Placement::Hashed {
+                let walks = cache.walk_hits() + cache.walk_misses();
+                assert_eq!(walks, 0, "the full-cluster walk bypasses the cache");
+            }
+            // Churn bumps the epoch: every stale entry misses, and the
+            // cached path keeps matching the plain path on the mutated
+            // overlay.
+            l.leave_physical(7).unwrap();
+            l.stabilize();
+            l.place_all(&w.reports);
+            for i in 0..30usize {
+                let q = w.random_query(3, QueryMix::Range, &mut rng);
+                let plain = l.query_from(i % 500 + 8, &q).unwrap();
+                let cached = l.query_from_cached(i % 500 + 8, &q, &mut cache).unwrap();
+                assert_eq!(cached, plain, "{placement:?} post-churn query {i}");
+            }
         }
     }
 
     #[test]
     fn cached_faulty_query_is_identical_to_plain_faulty() {
-        let (w, l) = small_workload();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCB);
-        // Inert plans short-circuit through the cache; non-inert plans
-        // must bypass it (per-message coins are not cacheable).
-        for plan in [FaultPlan::new(3, 0.0, 0.0).unwrap(), FaultPlan::new(7, 0.2, 0.05).unwrap()] {
-            for i in 0..40u64 {
-                let q = w.random_query(2, QueryMix::Range, &mut rng);
-                let plain = l.query_from_faulty(2, &q, &plan, i).unwrap();
-                let cached = l.query_from_faulty_cached(2, &q, &plan, i, &mut cache).unwrap();
-                assert_eq!(cached, plain, "inert={} msg {i}", plan.is_inert());
+        for placement in [Placement::Lph, Placement::Hashed] {
+            let (w, l) = small_workload_placed(placement);
+            let mut cache = RouteCache::new();
+            let mut rng = SmallRng::seed_from_u64(0xCB);
+            // Inert plans short-circuit through the cache; non-inert plans
+            // must bypass it (per-message coins are not cacheable).
+            for plan in
+                [FaultPlan::new(3, 0.0, 0.0).unwrap(), FaultPlan::new(7, 0.2, 0.05).unwrap()]
+            {
+                for i in 0..40u64 {
+                    let q = w.random_query(2, QueryMix::Range, &mut rng);
+                    let plain = l.query_from_faulty(2, &q, &plan, i).unwrap();
+                    let cached = l.query_from_faulty_cached(2, &q, &plan, i, &mut cache).unwrap();
+                    assert_eq!(cached, plain, "{placement:?} inert={} msg {i}", plan.is_inert());
+                }
             }
         }
     }
@@ -1090,17 +869,19 @@ mod tests {
 
     #[test]
     fn inert_fault_plan_query_is_identical_to_plain() {
-        let (w, l) = small_workload();
-        let mut rng = SmallRng::seed_from_u64(21);
-        let plan = FaultPlan::new(0x51EE7, 0.0, 0.0).unwrap();
-        for i in 0..40u64 {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = l.query_from(1, &q).unwrap();
-            let faulty = l.query_from_faulty(1, &q, &plan, 1000 + i).unwrap();
-            assert_eq!(faulty.outcome, plain);
-            assert!(faulty.is_complete());
-            assert_eq!(faulty.retries, 0);
-            assert_eq!(faulty.dropped_msgs, 0);
+        for placement in [Placement::Lph, Placement::Hashed] {
+            let (w, l) = small_workload_placed(placement);
+            let mut rng = SmallRng::seed_from_u64(21);
+            let plan = FaultPlan::new(0x51EE7, 0.0, 0.0).unwrap();
+            for i in 0..40u64 {
+                let q = w.random_query(2, QueryMix::Range, &mut rng);
+                let plain = l.query_from(1, &q).unwrap();
+                let faulty = l.query_from_faulty(1, &q, &plan, 1000 + i).unwrap();
+                assert_eq!(faulty.outcome, plain, "{placement:?}");
+                assert!(faulty.is_complete());
+                assert_eq!(faulty.retries, 0);
+                assert_eq!(faulty.dropped_msgs, 0);
+            }
         }
     }
 

@@ -24,6 +24,9 @@
 //! * **Route cache** ([`cache`]): epoch-invalidated memoization of
 //!   routing results and range-walk segments over a static bed —
 //!   byte-identical to uncached routing by construction.
+//! * **Query probes** ([`probe`]): the one strategy through which every
+//!   system's query body routes and walks — plain, cached, or under a
+//!   fault plan — with each overlay's walk described once as a [`Walk`].
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! network, the same workload and the same measurements.
@@ -37,6 +40,7 @@ pub mod fault;
 pub mod hashing;
 pub mod latency;
 pub mod overlay;
+pub mod probe;
 pub mod replication;
 pub mod ring;
 pub mod sampling;
@@ -52,6 +56,7 @@ pub use fault::{
 pub use hashing::{lex_hash, lex_prefix_end, ConsistentHash, LocalityHash};
 pub use latency::LatencyModel;
 pub use overlay::{BuildMode, NodeIdx, Overlay};
+pub use probe::{Cached, Faulty, Plain, Probe, Walk, WalkEnd, WalkKey};
 pub use replication::{replica_targets, RepairStats};
 pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, ring_dist};
 pub use sampling::{BoundedPareto, SeedSpawner, Zipf};

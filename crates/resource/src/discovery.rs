@@ -11,7 +11,10 @@ use crate::model::{Query, ResourceInfo};
 use crate::planner::{self, QueryPlan};
 use crate::replication::PieceKey;
 use crate::selectivity::SelectivityEstimator;
-use dht_core::{DhtError, FaultPlan, LoadDist, LookupTally, NodeIdx, RepairStats, RouteCache};
+use dht_core::{
+    DhtError, FaultAccount, FaultPlan, LoadDist, LookupTally, NodeIdx, RepairStats, RouteCache,
+    RouteStats,
+};
 use rand::rngs::SmallRng;
 
 /// Result of resolving one multi-attribute query.
@@ -296,6 +299,95 @@ pub trait ResourceDiscovery {
 impl Clone for Box<dyn ResourceDiscovery + Send + Sync> {
     fn clone(&self) -> Self {
         self.clone_box()
+    }
+}
+
+/// Requester-side accumulator behind every system's query body: it
+/// charges each sub-query's lookups, walk and matches to one tally,
+/// tracks which sub-queries were answered and fully resolved, and ends
+/// with the join on `ip_addr`.
+#[derive(Debug)]
+pub struct OutcomeBuilder {
+    /// Cost accumulated so far; systems read `hops` for the hop budget.
+    pub tally: LookupTally,
+    probed: Vec<NodeIdx>,
+    per_sub: Vec<Vec<usize>>,
+    subs_resolved: usize,
+    subs_answered: usize,
+}
+
+impl OutcomeBuilder {
+    /// An empty accumulator for a query of `arity` sub-queries.
+    #[inline]
+    pub fn new(arity: usize) -> Self {
+        Self {
+            tally: LookupTally::default(),
+            probed: Vec::new(),
+            per_sub: Vec::with_capacity(arity),
+            subs_resolved: 0,
+            subs_answered: 0,
+        }
+    }
+
+    /// Charge one lookup. A route yields `Some`; a lookup lost to a
+    /// dropped message or dead hop charges its wasted hops and yields
+    /// `None` (the sub-query goes unanswered); any other error aborts
+    /// the query.
+    #[inline]
+    pub fn lookup(
+        &mut self,
+        route: Result<RouteStats, DhtError>,
+    ) -> Result<Option<RouteStats>, DhtError> {
+        self.tally.lookups += 1;
+        match route {
+            Ok(r) => {
+                self.tally.hops += r.hops;
+                Ok(Some(r))
+            }
+            Err(DhtError::MessageDropped { hops } | DhtError::DeadHop { hops }) => {
+                self.tally.hops += hops;
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// A directory node checked outside any sub-query's answer (MAAN's
+    /// attribute root).
+    #[inline]
+    pub fn visit(&mut self, node: NodeIdx) {
+        self.tally.visited += 1;
+        self.probed.push(node);
+    }
+
+    /// One answered sub-query: the nodes its walk probed and the owners
+    /// they matched. `resolved` is false when a fault truncated the walk
+    /// (or otherwise degraded the answer).
+    #[inline]
+    pub fn answer(&mut self, walk: &[NodeIdx], owners: Vec<usize>, resolved: bool) {
+        self.tally.visited += walk.len();
+        self.tally.matches += owners.len();
+        self.probed.extend_from_slice(walk);
+        self.per_sub.push(owners);
+        self.subs_answered += 1;
+        self.subs_resolved += usize::from(resolved);
+    }
+
+    /// Join the answers and attach the degradation accounting.
+    #[inline]
+    pub fn finish(self, subs_total: usize, acct: FaultAccount) -> FaultyOutcome {
+        FaultyOutcome {
+            outcome: QueryOutcome {
+                tally: self.tally,
+                owners: join_owners(self.per_sub),
+                probed: self.probed,
+            },
+            subs_resolved: self.subs_resolved,
+            subs_answered: self.subs_answered,
+            subs_total,
+            retries: acct.retries,
+            dropped_msgs: acct.dropped_msgs,
+        }
     }
 }
 

@@ -156,6 +156,15 @@ impl ValueTarget {
         }
     }
 
+    /// The value a lookup routes to (the point, or a range's low end)
+    /// and, for a range, the high end its directory walk must cover.
+    pub fn bounds(&self) -> (f64, Option<f64>) {
+        match *self {
+            ValueTarget::Point(v) => (v, None),
+            ValueTarget::Range { low, high } => (low, Some(high)),
+        }
+    }
+
     /// Is this a range constraint?
     pub fn is_range(&self) -> bool {
         matches!(self, ValueTarget::Range { .. })

@@ -29,7 +29,7 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{run_batch_sharded, Metric};
+use crate::experiments::{run_batch_sharded, scoped_map, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -289,35 +289,18 @@ pub fn durability_cached(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCa
             &mut sched_rng,
         );
         for &k in &setup.degrees {
-            let mut cells: Vec<(System, DurabilityCell)> = Vec::with_capacity(4);
-            crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = System::ALL
-                    .iter()
-                    .map(|&s| {
-                        let workload = &workload;
-                        let schedule = &schedule;
-                        scope.spawn(move |_| {
-                            let mut sys = cache.churn_proto(s, cfg, wl_seed);
-                            let cell = run_durability_one(
-                                sys.as_mut(),
-                                workload,
-                                schedule,
-                                setup,
-                                k,
-                                cfg.seed ^ 0xD6 ^ (rate * 100.0) as u64,
-                            );
-                            (s, cell)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // lint:allow(panic-hygiene): a panicked worker is
-                    // unrecoverable for the sweep — propagate it.
-                    cells.push(h.join().expect("durability worker"));
-                }
-            })
-            // lint:allow(panic-hygiene): scope only errs if a child panicked.
-            .expect("crossbeam scope");
+            let cells: Vec<(System, DurabilityCell)> = scoped_map(System::ALL.to_vec(), |s| {
+                let mut sys = cache.churn_proto(s, cfg, wl_seed);
+                let cell = run_durability_one(
+                    sys.as_mut(),
+                    &workload,
+                    &schedule,
+                    setup,
+                    k,
+                    cfg.seed ^ 0xD6 ^ (rate * 100.0) as u64,
+                );
+                (s, cell)
+            });
             let cell_of = |s: System| {
                 // lint:allow(panic-hygiene): one worker per System::ALL
                 // member pushed exactly one cell above.

@@ -8,6 +8,7 @@
 //! * **3(c)**: SWORD vs LORM vs analysis (Theorems 4.2/4.4).
 //! * **3(d)**: Mercury vs LORM vs analysis (Theorems 4.2/4.5).
 
+use crate::experiments::scoped_map;
 use crate::report::Report;
 use crate::setup::{SimConfig, TestBed};
 use crate::table::Table;
@@ -62,16 +63,11 @@ pub fn fig3a(dimensions: &[u8], attrs: usize, seed: u64) -> Fig3a {
             let total: usize = net.live_nodes().iter().map(|&i| net.outlinks(i).unwrap_or(0)).sum();
             total as f64 / n as f64
         };
-        let mercury_avg: f64 = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let hub_avg = &hub_avg;
-                    scope.spawn(move |_| (w..attrs).step_by(workers).map(hub_avg).sum::<f64>())
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("hub worker")).sum()
+        let mercury_avg: f64 = scoped_map((0..workers).collect(), |w| {
+            (w..attrs).step_by(workers).map(&hub_avg).sum::<f64>()
         })
-        .expect("crossbeam scope");
+        .into_iter()
+        .sum();
         // LORM: one Cycloid of the same size.
         let cy = Cycloid::build(n, CycloidConfig { dimension: d, seed });
         let lorm_total: usize = cy.live_nodes().iter().map(|&i| cy.outlinks(i).unwrap_or(0)).sum();

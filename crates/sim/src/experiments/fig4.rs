@@ -8,8 +8,7 @@
 //! measured MAAN.
 
 use crate::experiments::{
-    query_batch, run_batch_all_cached_planned, run_batch_all_planned, summary_of, CachePool,
-    Engine, Metric,
+    query_batch, run_batch_all_planned, summary_of, CachePool, Engine, Metric,
 };
 use crate::report::Report;
 use crate::setup::TestBed;
@@ -98,14 +97,8 @@ pub fn fig4_planned(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let measured = match engine {
-            Engine::Plain => {
-                run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan, engine)
-            }
-            Engine::Cached => {
-                run_batch_all_cached_planned(&bed.systems, &batch, Metric::Hops, plan, &mut pools)
-            }
-        };
+        let pools = (engine == Engine::Cached).then_some(pools.as_mut_slice());
+        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan, pools);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }

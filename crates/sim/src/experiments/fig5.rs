@@ -7,8 +7,7 @@
 //! (513m / 514m / 3m / m for the paper's parameters).
 
 use crate::experiments::{
-    query_batch, run_batch_all_cached_planned, run_batch_all_planned, summary_of, CachePool,
-    Engine, Metric,
+    query_batch, run_batch_all_planned, summary_of, CachePool, Engine, Metric,
 };
 use crate::report::Report;
 use crate::setup::TestBed;
@@ -88,18 +87,8 @@ pub fn fig5_planned(
             QueryMix::Range,
             bed.seeds.seed() ^ 0xF500 ^ arity as u64,
         );
-        let measured = match engine {
-            Engine::Plain => {
-                run_batch_all_planned(&bed.systems, &batch, Metric::Visited, plan, engine)
-            }
-            Engine::Cached => run_batch_all_cached_planned(
-                &bed.systems,
-                &batch,
-                Metric::Visited,
-                plan,
-                &mut pools,
-            ),
-        };
+        let pools = (engine == Engine::Cached).then_some(pools.as_mut_slice());
+        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Visited, plan, pools);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }

@@ -16,7 +16,7 @@
 //! their local neighborhood immediately, as the protocols do.
 
 use crate::cache::BedCache;
-use crate::experiments::{Engine, Metric};
+use crate::experiments::{scoped_map, Engine, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -293,36 +293,22 @@ pub fn fig6_with_engine(
             setup.graceful_ratio,
             &mut sched_rng,
         );
-        let mut cells: Vec<(System, ChurnCell)> = Vec::with_capacity(4);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = System::ALL
-                .iter()
-                .map(|&s| {
-                    let workload = &workload;
-                    let schedule = &schedule;
-                    scope.spawn(move |_| {
-                        // First rate: builds the prototype (misses run in
-                        // parallel, one per system). Later rates: a deep
-                        // clone, byte-identical to a fresh build.
-                        let mut sys = cache.churn_proto(s, cfg, wl_seed);
-                        let cell = run_churn_one_with_engine(
-                            sys.as_mut(),
-                            workload,
-                            schedule,
-                            setup,
-                            metric,
-                            cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64,
-                            engine,
-                        );
-                        (s, cell)
-                    })
-                })
-                .collect();
-            for h in handles {
-                cells.push(h.join().expect("churn worker"));
-            }
-        })
-        .expect("crossbeam scope");
+        let cells: Vec<(System, ChurnCell)> = scoped_map(System::ALL.to_vec(), |s| {
+            // First rate: builds the prototype (misses run in parallel,
+            // one per system). Later rates: a deep clone, byte-identical
+            // to a fresh build.
+            let mut sys = cache.churn_proto(s, cfg, wl_seed);
+            let cell = run_churn_one_with_engine(
+                sys.as_mut(),
+                &workload,
+                &schedule,
+                setup,
+                metric,
+                cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64,
+                engine,
+            );
+            (s, cell)
+        });
         let cell_of =
             |s: System| cells.iter().find(|(x, _)| *x == s).map(|(_, c)| c.clone()).expect("cell");
         let analysis = System::ALL.map(|s| match metric {

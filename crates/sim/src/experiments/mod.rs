@@ -15,8 +15,10 @@ pub mod worstcase;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use analysis::System;
-use dht_core::{hashing::splitmix64, FaultPlan, RouteCache, Summary};
-use grid_resource::{Query, QueryMix, QueryPlan, ResourceDiscovery, ValueTarget, Workload};
+use dht_core::{hashing::splitmix64, DhtError, FaultPlan, RouteCache, Summary};
+use grid_resource::{
+    FaultyOutcome, Query, QueryMix, QueryOutcome, QueryPlan, ResourceDiscovery, Workload,
+};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -61,32 +63,208 @@ pub fn query_batch(
     batch
 }
 
-/// Run a contiguous slice of a batch sequentially on the calling thread,
-/// resolving each query under `plan` ([`QueryPlan::Parallel`] is the
-/// classic `query_from` path, byte for byte).
-fn run_shard(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-) -> Summary {
-    let mut s = Summary::new();
-    for (phys, q) in shard {
-        match sys.query_planned(*phys, q, plan) {
-            Ok(out) => s.record(metric.of(&out.tally)),
-            Err(_) => s.record_failure(),
-        }
-    }
-    s
-}
-
-/// Reduction granularity of [`run_batch`]: queries are always summarized
+/// Reduction granularity of every executor: queries are always summarized
 /// per `MICRO_CHUNK`-sized slice and the per-slice summaries merged in
 /// batch order, whatever the shard count. The merge *sequence* is then a
 /// function of the batch alone, which makes every summary field —
 /// including the variance, whose merge is not associative in floating
 /// point — bit-identical across shard counts.
 const MICRO_CHUNK: usize = 64;
+
+/// Fold micro-chunk summaries in order into one batch summary.
+fn merge_in_order(parts: impl IntoIterator<Item = Summary>) -> Summary {
+    let mut merged = Summary::new();
+    for part in parts {
+        merged.merge(&part);
+    }
+    merged
+}
+
+/// Run `work` on every item, one scoped thread per item, returning the
+/// results in item order.
+pub(crate) fn scoped_map<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let work = &work;
+    std::thread::scope(|scope| {
+        for (item, slot) in items.into_iter().zip(slots.iter_mut()) {
+            scope.spawn(move || *slot = Some(work(item)));
+        }
+    });
+    // The scope re-raises any worker's panic, so every slot is filled.
+    slots.into_iter().flatten().collect()
+}
+
+/// Locality sort key of one batched query: the first sub-query's
+/// `(attribute, low value)` pair, then the origin. Queries sharing an
+/// attribute and nearby range anchors route to the same keys and walk
+/// overlapping segments, so executing a micro-chunk in this order turns
+/// the route cache's repeated-lookup hits into back-to-back hits and lets
+/// coalescing walk spans serve one another.
+fn locality_key(phys: usize, q: &Query) -> (u32, u64, usize) {
+    match q.subs.first() {
+        // Workload values are non-negative, so the bit pattern orders like
+        // the number; a heuristic sort needs nothing stronger.
+        Some(sub) => (sub.attr.0, sub.target.bounds().0.to_bits(), phys),
+        None => (u32::MAX, 0, phys),
+    }
+}
+
+/// The fault-coin seed of the query at global batch position `index`: a
+/// pure function of the plan seed and the position, so sharding can
+/// never change which faults a query draws.
+fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
+    splitmix64(plan.seed() ^ index as u64)
+}
+
+/// Where an executor's route caches come from.
+enum Caches<'a> {
+    /// No cache: every query takes the uncached path.
+    Off,
+    /// The caller's cache when the batch runs inline; a fresh cache per
+    /// worker when it is sharded.
+    Caller(&'a mut RouteCache),
+    /// Worker `i` draws `pool[i]`; the pool grows to the worker count.
+    Pool(&'a mut CachePool),
+}
+
+/// What one query contributes to its chunk's summary.
+#[derive(Debug, Clone, Copy)]
+struct Observed {
+    /// The metric's value; `None` for a failed query.
+    value: Option<f64>,
+    /// A degraded (partially resolved) answer.
+    partial: bool,
+    retries: u64,
+    dropped_msgs: u64,
+}
+
+impl Observed {
+    const FAILED: Self = Self { value: None, partial: false, retries: 0, dropped_msgs: 0 };
+
+    fn of(f: &FaultyOutcome, metric: Metric) -> Self {
+        Self {
+            value: (!f.is_failed()).then(|| metric.of(&f.outcome.tally)),
+            partial: f.is_partial(),
+            retries: f.retries,
+            dropped_msgs: f.dropped_msgs,
+        }
+    }
+}
+
+/// One executor call's query semantics: the system, the reported metric,
+/// the query plan, and an optional fault plan (fault-injected queries
+/// resolve every sub-query, as under [`QueryPlan::Parallel`]).
+#[derive(Clone, Copy)]
+struct Job<'a> {
+    sys: &'a (dyn ResourceDiscovery + Send + Sync),
+    metric: Metric,
+    plan: QueryPlan,
+    faults: Option<&'a FaultPlan>,
+}
+
+impl Job<'_> {
+    /// The one fan-out behind every executor. The batch splits into
+    /// [`MICRO_CHUNK`]-sized chunks; at `shards <= 1` they run on the
+    /// calling thread, otherwise each of `shards` scoped workers takes a
+    /// contiguous run of chunks with its own cache. The shard count
+    /// decides only *which thread* summarizes each chunk, never the
+    /// reduction order, and caches never alter results — so the summary
+    /// is bit-identical for every shard count and cache source.
+    fn fan_out(&self, batch: &[(usize, Query)], shards: usize, caches: Caches<'_>) -> Summary {
+        let micro: Vec<(usize, &[(usize, Query)])> =
+            batch.chunks(MICRO_CHUNK).enumerate().map(|(i, c)| (i * MICRO_CHUNK, c)).collect();
+        if shards <= 1 || micro.len() <= 1 {
+            let mut cache = match caches {
+                Caches::Off => None,
+                Caches::Caller(cache) => Some(cache),
+                Caches::Pool(pool) => {
+                    if pool.is_empty() {
+                        pool.push(RouteCache::new());
+                    }
+                    pool.first_mut()
+                }
+            };
+            return merge_in_order(
+                micro.iter().map(|&(base, c)| self.summarize(base, c, cache.as_deref_mut())),
+            );
+        }
+        let runs: Vec<_> = micro.chunks(micro.len().div_ceil(shards)).collect();
+        let fresh = matches!(caches, Caches::Caller(_));
+        let pooled: Vec<Option<&mut RouteCache>> = match caches {
+            Caches::Pool(pool) => {
+                while pool.len() < runs.len() {
+                    pool.push(RouteCache::new());
+                }
+                pool.iter_mut().map(Some).collect()
+            }
+            Caches::Off | Caches::Caller(_) => runs.iter().map(|_| None).collect(),
+        };
+        let parts = scoped_map(runs.into_iter().zip(pooled).collect(), |(run, pooled)| {
+            let mut local = fresh.then(RouteCache::new);
+            let mut cache = pooled.or(local.as_mut());
+            run.iter()
+                .map(|&(base, c)| self.summarize(base, c, cache.as_deref_mut()))
+                .collect::<Vec<_>>()
+        });
+        merge_in_order(parts.into_iter().flatten())
+    }
+
+    /// Summarize one micro-chunk whose first query sits at batch position
+    /// `base`. With a cache the chunk executes in locality order, but
+    /// every query keeps its original position — for its fault seed and
+    /// in the fold — so the summary never observes the sort.
+    fn summarize(
+        &self,
+        base: usize,
+        chunk: &[(usize, Query)],
+        mut cache: Option<&mut RouteCache>,
+    ) -> Summary {
+        let mut order: Vec<usize> = (0..chunk.len()).collect();
+        if cache.is_some() {
+            order.sort_by_key(|&j| locality_key(chunk[j].0, &chunk[j].1));
+        }
+        let mut seen = vec![Observed::FAILED; chunk.len()];
+        for j in order {
+            let (phys, q) = &chunk[j];
+            seen[j] = match self.resolve_at(base + j, *phys, q, cache.as_deref_mut()) {
+                Ok(f) => Observed::of(&f, self.metric),
+                Err(_) => Observed::FAILED,
+            };
+        }
+        let mut s = Summary::new();
+        for o in seen {
+            match o.value {
+                None => s.record_failure(),
+                Some(v) if o.partial => s.record_partial(v),
+                Some(v) => s.record(v),
+            }
+            s.add_retries(o.retries);
+            s.add_dropped_msgs(o.dropped_msgs);
+        }
+        s
+    }
+
+    /// Resolve the query at batch position `index` through the system's
+    /// plain, cached, faulty or faulty-cached entry point.
+    fn resolve_at(
+        &self,
+        index: usize,
+        phys: usize,
+        q: &Query,
+        cache: Option<&mut RouteCache>,
+    ) -> Result<FaultyOutcome, DhtError> {
+        let (sys, plan) = (self.sys, self.plan);
+        let complete = |out: QueryOutcome| FaultyOutcome::complete(out, q.arity());
+        match (self.faults, cache) {
+            (None, None) => sys.query_planned(phys, q, plan).map(complete),
+            (None, Some(c)) => sys.query_planned_cached(phys, q, plan, c).map(complete),
+            (Some(f), None) => sys.query_from_faulty(phys, q, f, msg_seed_at(f, index)),
+            (Some(f), Some(c)) => {
+                sys.query_from_faulty_cached(phys, q, f, msg_seed_at(f, index), c)
+            }
+        }
+    }
+}
 
 /// Run a query batch against one system, summarizing a chosen metric.
 /// Failed queries are counted via [`Summary::failures`] instead of being
@@ -102,15 +280,6 @@ pub fn run_batch(
     metric: Metric,
 ) -> Summary {
     run_batch_sharded(sys, batch, metric, default_shards())
-}
-
-/// Fold micro-chunk summaries in order into one batch summary.
-fn merge_in_order(parts: impl IntoIterator<Item = Summary>) -> Summary {
-    let mut merged = Summary::new();
-    for part in parts {
-        merged.merge(&part);
-    }
-    merged
 }
 
 /// [`run_batch`] with an explicit shard count (`0` or `1` runs inline on
@@ -137,102 +306,12 @@ pub fn run_batch_planned_sharded(
     plan: QueryPlan,
     shards: usize,
 ) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(micro.into_iter().map(|c| run_shard(sys, c, metric, plan)));
-    }
-    // Give each worker a contiguous run of micro-chunks; workers return
-    // their per-chunk summaries in order, and the single-threaded merge
-    // below walks workers (and chunks within each worker) in batch order.
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    chunks.iter().map(|c| run_shard(sys, c, metric, plan)).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// Locality sort key of one batched query: the first sub-query's
-/// `(attribute, low value)` pair, then the origin. Queries sharing an
-/// attribute and nearby range anchors route to the same keys and walk
-/// overlapping segments, so executing a micro-chunk in this order turns
-/// the route cache's repeated-lookup hits into back-to-back hits and lets
-/// coalescing walk spans serve one another.
-fn locality_key(phys: usize, q: &Query) -> (u32, u64, usize) {
-    match q.subs.first() {
-        Some(sub) => {
-            let lo = match sub.target {
-                ValueTarget::Point(v) => v,
-                ValueTarget::Range { low, .. } => low,
-            };
-            // Workload values are non-negative, so the bit pattern orders
-            // like the number; a heuristic sort needs nothing stronger.
-            (sub.attr.0, lo.to_bits(), phys)
-        }
-        None => (u32::MAX, 0, phys),
-    }
-}
-
-/// Run one micro-chunk through the cached query path, executing in
-/// locality order but *recording at original positions*: the Summary
-/// fold below never observes the sort, so every field stays bit-identical
-/// to [`run_shard`] (each cached query is itself byte-identical to its
-/// uncached twin by construction).
-fn run_shard_cached(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    cache: &mut RouteCache,
-) -> Summary {
-    let mut order: Vec<usize> = (0..shard.len()).collect();
-    order.sort_by_key(|&i| locality_key(shard[i].0, &shard[i].1));
-    let mut vals: Vec<Option<f64>> = vec![None; shard.len()];
-    for &i in &order {
-        let (phys, q) = &shard[i];
-        if let Ok(out) = sys.query_planned_cached(*phys, q, plan, cache) {
-            vals[i] = Some(metric.of(&out.tally));
-        }
-    }
-    let mut s = Summary::new();
-    for v in vals {
-        match v {
-            Some(v) => s.record(v),
-            None => s.record_failure(),
-        }
-    }
-    s
-}
-
-/// Cached, batched [`run_batch`]: identical summaries on [`default_shards`]
-/// workers, with repeated lookups served from `cache`.
-pub fn run_batch_cached(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    cache: &mut RouteCache,
-) -> Summary {
-    run_batch_cached_sharded(sys, batch, metric, default_shards(), cache)
+    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Off)
 }
 
 /// [`run_batch_sharded`] through the epoch-invalidated route cache and the
 /// locality-ordered chunk executor — bit-identical summaries at every
-/// shard count, by construction (see `run_shard_cached`).
+/// shard count, by construction.
 ///
 /// At `shards <= 1` the caller's `cache` persists across the whole batch
 /// (the perf harness warms it and then measures its hit rate); at higher
@@ -261,46 +340,16 @@ pub fn run_batch_planned_cached_sharded(
     shards: usize,
     cache: &mut RouteCache,
 ) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|c| run_shard_cached(sys, c, metric, plan, cache)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    let mut local = RouteCache::new();
-                    chunks
-                        .iter()
-                        .map(|c| run_shard_cached(sys, c, metric, plan, &mut local))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
+    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Caller(cache))
 }
 
 /// A per-system pool of worker route caches for the pooled executor
-/// (see [`run_batch_cached_pooled`]): worker `i` always draws `pool[i]`,
-/// so a pool held across calls keeps each worker's cache warm for its
-/// stable slice of the batch stream.
+/// (see [`run_batch_planned_cached_pooled`]): worker `i` always draws
+/// `pool[i]`, so a pool held across calls keeps each worker's cache warm
+/// for its stable slice of the batch stream.
 pub type CachePool = Vec<RouteCache>;
 
-/// [`run_batch_cached_sharded`], drawing per-worker caches from a
+/// [`run_batch_planned_cached_sharded`], drawing per-worker caches from a
 /// caller-owned pool instead of building fresh ones per call. The pool
 /// grows to the worker count on first use; the figure pipelines hold one
 /// pool per system across their sweep loops, so later rounds replay
@@ -311,19 +360,6 @@ pub type CachePool = Vec<RouteCache>;
 /// Pools must never outlive their system's overlay state: two bed clones
 /// can share an epoch value while holding different links, which is why
 /// the churn pipeline (fig 6) builds a fresh cache per run instead.
-pub fn run_batch_cached_pooled(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    shards: usize,
-    pool: &mut CachePool,
-) -> Summary {
-    run_batch_planned_cached_pooled(sys, batch, metric, QueryPlan::Parallel, shards, pool)
-}
-
-/// [`run_batch_cached_pooled`] under an explicit [`QueryPlan`] — the
-/// executor the figure pipelines use when a `--plan=` override is in
-/// effect, keeping their per-system pools warm across sweep rounds.
 pub fn run_batch_planned_cached_pooled(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -332,78 +368,7 @@ pub fn run_batch_planned_cached_pooled(
     shards: usize,
     pool: &mut CachePool,
 ) -> Summary {
-    let micro: Vec<&[(usize, Query)]> = batch.chunks(MICRO_CHUNK.max(1)).collect();
-    if shards <= 1 || micro.len() <= 1 {
-        if pool.is_empty() {
-            pool.push(RouteCache::new());
-        }
-        let cache = &mut pool[0];
-        return merge_in_order(
-            micro.into_iter().map(|c| run_shard_cached(sys, c, metric, plan, cache)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let workers = micro.len().div_ceil(per_worker);
-    while pool.len() < workers {
-        pool.push(RouteCache::new());
-    }
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .zip(pool.iter_mut())
-            .map(|(chunks, cache)| {
-                scope.spawn(move |_| {
-                    chunks
-                        .iter()
-                        .map(|c| run_shard_cached(sys, c, metric, plan, cache))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// The fault-coin seed of the query at global batch position `index`: a
-/// pure function of the plan seed and the position, so sharding can
-/// never change which faults a query draws.
-fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
-    splitmix64(plan.seed() ^ index as u64)
-}
-
-/// Run a contiguous slice of a batch under a fault plan. `base` is the
-/// global batch index of the slice's first query.
-fn run_shard_faulty(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    base: usize,
-) -> Summary {
-    let mut s = Summary::new();
-    for (j, (phys, q)) in shard.iter().enumerate() {
-        match sys.query_from_faulty(*phys, q, plan, msg_seed_at(plan, base + j)) {
-            Ok(f) => {
-                let v = metric.of(&f.outcome.tally);
-                if f.is_failed() {
-                    s.record_failure();
-                } else if f.is_partial() {
-                    s.record_partial(v);
-                } else {
-                    s.record(v);
-                }
-                s.add_retries(f.retries);
-                s.add_dropped_msgs(f.dropped_msgs);
-            }
-            Err(_) => s.record_failure(),
-        }
-    }
-    s
+    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Pool(pool))
 }
 
 /// [`run_batch`] under a fault plan, on [`default_shards`] workers.
@@ -429,88 +394,14 @@ pub fn run_batch_faulty_sharded(
     plan: &FaultPlan,
     shards: usize,
 ) -> Summary {
-    let micro: Vec<(usize, &[(usize, Query)])> =
-        batch.chunks(MICRO_CHUNK.max(1)).enumerate().collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|(i, c)| run_shard_faulty(sys, c, metric, plan, i * MICRO_CHUNK)),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    chunks
-                        .iter()
-                        .map(|(i, c)| run_shard_faulty(sys, c, metric, plan, i * MICRO_CHUNK))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
-}
-
-/// Like [`run_shard_faulty`], but queries whose fault coins are inert
-/// short-circuit through the route cache (see
-/// [`ResourceDiscovery::query_from_faulty_cached`]). Execution runs in
-/// locality order while each query keeps the fault seed of its *original*
-/// global position, and records fold at original positions — the fault
-/// draw and the Summary are both blind to the sort.
-fn run_shard_faulty_cached(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    shard: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    base: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    let mut order: Vec<usize> = (0..shard.len()).collect();
-    order.sort_by_key(|&j| locality_key(shard[j].0, &shard[j].1));
-    let mut vals: Vec<Option<grid_resource::FaultyOutcome>> = vec![None; shard.len()];
-    for &j in &order {
-        let (phys, q) = &shard[j];
-        if let Ok(f) =
-            sys.query_from_faulty_cached(*phys, q, plan, msg_seed_at(plan, base + j), cache)
-        {
-            vals[j] = Some(f);
-        }
-    }
-    let mut s = Summary::new();
-    for f in vals {
-        match f {
-            Some(f) => {
-                let v = metric.of(&f.outcome.tally);
-                if f.is_failed() {
-                    s.record_failure();
-                } else if f.is_partial() {
-                    s.record_partial(v);
-                } else {
-                    s.record(v);
-                }
-                s.add_retries(f.retries);
-                s.add_dropped_msgs(f.dropped_msgs);
-            }
-            None => s.record_failure(),
-        }
-    }
-    s
+    let faulty = Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) };
+    faulty.fan_out(batch, shards, Caches::Off)
 }
 
 /// [`run_batch_faulty_sharded`] through the route cache: bit-identical
 /// to the uncached run at every shard count, with the inert fraction of
-/// the batch served from cache.
+/// the batch served from cache (see
+/// [`ResourceDiscovery::query_from_faulty_cached`]).
 pub fn run_batch_faulty_cached_sharded(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -519,49 +410,8 @@ pub fn run_batch_faulty_cached_sharded(
     shards: usize,
     cache: &mut RouteCache,
 ) -> Summary {
-    let micro: Vec<(usize, &[(usize, Query)])> =
-        batch.chunks(MICRO_CHUNK.max(1)).enumerate().collect();
-    if shards <= 1 || micro.len() <= 1 {
-        return merge_in_order(
-            micro.into_iter().map(|(i, c)| {
-                run_shard_faulty_cached(sys, c, metric, plan, i * MICRO_CHUNK, cache)
-            }),
-        );
-    }
-    let per_worker = micro.len().div_ceil(shards);
-    let mut parts: Vec<Summary> = Vec::with_capacity(micro.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = micro
-            .chunks(per_worker)
-            .map(|chunks| {
-                scope.spawn(move |_| {
-                    let mut local = RouteCache::new();
-                    chunks
-                        .iter()
-                        .map(|(i, c)| {
-                            run_shard_faulty_cached(
-                                sys,
-                                c,
-                                metric,
-                                plan,
-                                i * MICRO_CHUNK,
-                                &mut local,
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint:allow(panic-hygiene): join fails only if the worker
-            // panicked; re-raising that panic is the intended behaviour.
-            parts.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    // lint:allow(panic-hygiene): crossbeam scope errs only when a
-    // child panicked; re-raising that panic is the intended behaviour.
-    .expect("crossbeam scope");
-    merge_in_order(parts)
+    let faulty = Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) };
+    faulty.fan_out(batch, shards, Caches::Caller(cache))
 }
 
 /// Which batch executor a figure pipeline runs on. Both engines produce
@@ -577,117 +427,36 @@ pub enum Engine {
     Cached,
 }
 
-/// Run the same batch against every mounted system in parallel (one thread
-/// per system — they are independent and `query_from` is `&self` — each of
-/// which shards its batch further, for `systems × shards` total workers).
-pub fn run_batch_all(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_with(systems, batch, metric, Engine::Plain)
-}
-
-/// [`run_batch_all`] on a chosen [`Engine`]. Under [`Engine::Cached`]
-/// each system thread owns one route cache for its whole batch.
-pub fn run_batch_all_with(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    engine: Engine,
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_planned(systems, batch, metric, QueryPlan::Parallel, engine)
-}
-
-/// [`run_batch_all_with`] under an explicit [`QueryPlan`] — the figure
-/// pipelines thread their `--plan=` override through here. Plan choice
-/// never alters owner sets, only the cost tallies, and
-/// [`QueryPlan::Parallel`] is byte-identical to [`run_batch_all_with`].
+/// Run the same batch against every mounted system in parallel, one
+/// thread per system (they are independent and querying is `&self`),
+/// each of which shards its batch further, for `systems × shards` total
+/// workers. The figure pipelines thread their `--plan=` override through
+/// here; plan choice never alters owner sets, only the cost tallies.
+///
+/// With `pools` (one per system, in `systems` order) every system runs
+/// the cached executor over its pool. The fig-4/fig-5 sweeps hold the
+/// pools across their arity loops — the systems are unmutated between
+/// rounds, so every cached entry stays epoch-fresh and later rounds hit
+/// on the walks earlier rounds recorded. Bit-identical to the uncached
+/// run by construction.
 pub fn run_batch_all_planned(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
     metric: Metric,
     plan: QueryPlan,
-    engine: Engine,
+    pools: Option<&mut [CachePool]>,
 ) -> Vec<(&'static str, Summary)> {
-    if engine == Engine::Cached {
-        let mut pools: Vec<CachePool> = systems.iter().map(|_| CachePool::new()).collect();
-        return run_batch_all_cached_planned(systems, batch, metric, plan, &mut pools);
-    }
-    let mut out: Vec<(&'static str, Summary)> = Vec::with_capacity(systems.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = systems
-            .iter()
-            .map(|sys| {
-                let sys = sys.as_ref();
-                scope.spawn(move |_| {
-                    (
-                        sys.name(),
-                        run_batch_planned_sharded(sys, batch, metric, plan, default_shards()),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("batch worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    out
-}
-
-/// [`run_batch_all`] through caller-owned per-system [`CachePool`]s (in
-/// `systems` order) that persist across calls. The fig-4/fig-5 sweeps
-/// hold the pools across their arity loops — the systems are unmutated
-/// between rounds, so every cached entry stays epoch-fresh and later
-/// rounds hit on the walks earlier rounds recorded. Bit-identical to
-/// [`Engine::Plain`] by construction.
-pub fn run_batch_all_cached(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    pools: &mut [CachePool],
-) -> Vec<(&'static str, Summary)> {
-    run_batch_all_cached_planned(systems, batch, metric, QueryPlan::Parallel, pools)
-}
-
-/// [`run_batch_all_cached`] under an explicit [`QueryPlan`].
-pub fn run_batch_all_cached_planned(
-    systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    pools: &mut [CachePool],
-) -> Vec<(&'static str, Summary)> {
+    let shards = default_shards();
+    let Some(pools) = pools else {
+        return scoped_map(systems.iter().collect(), |sys| {
+            (sys.name(), run_batch_planned_sharded(sys.as_ref(), batch, metric, plan, shards))
+        });
+    };
     assert_eq!(systems.len(), pools.len(), "one cache pool per system");
-    let mut out: Vec<(&'static str, Summary)> = Vec::with_capacity(systems.len());
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = systems
-            .iter()
-            .zip(pools.iter_mut())
-            .map(|(sys, pool)| {
-                let sys = sys.as_ref();
-                scope.spawn(move |_| {
-                    (
-                        sys.name(),
-                        run_batch_planned_cached_pooled(
-                            sys,
-                            batch,
-                            metric,
-                            plan,
-                            default_shards(),
-                            pool,
-                        ),
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("batch worker panicked"));
-        }
+    scoped_map(systems.iter().zip(pools.iter_mut()).collect(), |(sys, pool)| {
+        let sys = sys.as_ref();
+        (sys.name(), run_batch_planned_cached_pooled(sys, batch, metric, plan, shards, pool))
     })
-    .expect("crossbeam scope");
-    out
 }
 
 /// Which tally field an experiment reports.
@@ -728,23 +497,29 @@ mod tests {
 
     #[test]
     fn parallel_batch_equals_sequential_batch() {
-        // run_batch_all fans the systems out over threads (and each system
-        // shards its batch); every summary must be bit-identical to a
-        // single-threaded, single-shard run.
+        // run_batch_all_planned fans the systems out over threads (and each
+        // system shards its batch); every summary must be bit-identical to
+        // a single-threaded, single-shard run — on either engine.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let parallel = run_batch_all(&bed.systems, &batch, Metric::Visited);
-        for (name, par) in &parallel {
-            let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            assert_eq!(par.count(), seq.count(), "{name}");
-            assert_eq!(par.failures(), seq.failures(), "{name}");
-            assert_eq!(par.total().to_bits(), seq.total().to_bits(), "{name}");
-            assert_eq!(par.mean().to_bits(), seq.mean().to_bits(), "{name}");
-            assert_eq!(par.min().to_bits(), seq.min().to_bits(), "{name}");
-            assert_eq!(par.max().to_bits(), seq.max().to_bits(), "{name}");
+        let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
+        for cached in [false, true] {
+            let pools = cached.then_some(pools.as_mut_slice());
+            let parallel = run_batch_all_planned(
+                &bed.systems,
+                &batch,
+                Metric::Visited,
+                QueryPlan::Parallel,
+                pools,
+            );
+            assert_eq!(parallel.len(), bed.systems.len(), "cached={cached}");
+            for (name, par) in &parallel {
+                let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
+                let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+                assert_summaries_bit_identical(par, &seq, &format!("{name} cached={cached}"));
+            }
         }
     }
 
@@ -833,6 +608,8 @@ mod tests {
             let batch = query_batch(&bed.workload, cfg.nodes, 15, 4, 3, mix, seed);
             for sys in &bed.systems {
                 for shards in [1usize, 3] {
+                    // One pool per shard count, held warm across metrics.
+                    let mut pool = CachePool::new();
                     for metric in [Metric::Hops, Metric::Visited] {
                         let plain = run_batch_sharded(sys.as_ref(), &batch, metric, shards);
                         let mut cache = RouteCache::new();
@@ -845,6 +622,15 @@ mod tests {
                         );
                         let ctx = format!("{} shards={shards} {metric:?} {mix:?}", sys.name());
                         assert_summaries_bit_identical(&cached, &plain, &ctx);
+                        let pooled = run_batch_planned_cached_pooled(
+                            sys.as_ref(),
+                            &batch,
+                            metric,
+                            QueryPlan::Parallel,
+                            shards,
+                            &mut pool,
+                        );
+                        assert_summaries_bit_identical(&pooled, &plain, &format!("{ctx} pooled"));
                     }
                 }
             }
@@ -907,20 +693,6 @@ mod tests {
                     assert_summaries_bit_identical(&cached, &plain, &ctx);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn engine_cached_run_batch_all_matches_plain() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 2, QueryMix::Range, 0xE7A1);
-        let plain = run_batch_all_with(&bed.systems, &batch, Metric::Visited, Engine::Plain);
-        let cached = run_batch_all_with(&bed.systems, &batch, Metric::Visited, Engine::Cached);
-        for (name, p) in &plain {
-            let c = &cached.iter().find(|(n, _)| n == name).unwrap().1;
-            assert_summaries_bit_identical(c, p, name);
         }
     }
 

@@ -3,6 +3,7 @@
 //! and the composite-flat ablation system answering the same workload.
 
 use baselines::{CompositeConfig, CompositeFlat};
+use dht_core::{FaultPlan, RouteCache};
 use lorm::semantic::{SemanticCodec, SemanticDirectory};
 use lorm::QueryPlan;
 use lorm_repro::prelude::*;
@@ -57,11 +58,25 @@ fn composite_flat_answers_match_lorm_on_shared_workload() {
     let lorm = build_system(System::Lorm, &workload, &cfg);
     let mut flat = CompositeFlat::new(cfg.nodes, &workload.space, CompositeConfig::default());
     flat.place_all(&workload.reports);
-    for _ in 0..80 {
+    // The flat system's probes must agree with its plain path too: cached
+    // equals plain, an inert fault plan equals plain, and the cached
+    // faulty path equals the faulty path under a lossy plan.
+    let mut cache = RouteCache::new();
+    let inert = FaultPlan::none();
+    let lossy = FaultPlan::new(0xE59, 0.2, 0.05).unwrap();
+    for i in 0..80u64 {
         let q = workload.random_query(2, QueryMix::Range, &mut rng);
         let origin = rng.gen_range(0..cfg.nodes);
         let mut a = lorm.query_from(origin, &q).unwrap().owners;
-        let mut b = flat.query_from(origin, &q).unwrap().owners;
+        let plain = flat.query_from(origin, &q).unwrap();
+        assert_eq!(flat.query_from_cached(origin, &q, &mut cache).unwrap(), plain, "cached {i}");
+        assert_eq!(flat.query_from_faulty(origin, &q, &inert, i).unwrap().outcome, plain);
+        assert_eq!(
+            flat.query_from_faulty_cached(origin, &q, &lossy, i, &mut cache).unwrap(),
+            flat.query_from_faulty(origin, &q, &lossy, i).unwrap(),
+            "faulty cached {i}"
+        );
+        let mut b = plain.owners;
         a.sort_unstable();
         b.sort_unstable();
         assert_eq!(a, b, "hierarchy and flat composite must agree on answers");
