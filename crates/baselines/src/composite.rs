@@ -24,8 +24,7 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    Cached, ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Plain, Probe,
-    RouteCache,
+    ConsistentHash, DhtError, LoadDist, LocalityHash, LookupTally, NodeIdx, Plain, Probe,
 };
 use grid_resource::{
     AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
@@ -120,7 +119,7 @@ impl CompositeFlat {
             let sub_msg = probe.sub_msg(i);
             let (lo, hi) = sub.target.bounds();
             let lo_key = self.key_of(sub.attr, lo);
-            let route = probe.lookup(self.host.net(), from, lo_key, 0, sub_msg);
+            let route = probe.lookup(self.host.net(), from, lo_key, sub_msg);
             let Some(route) = out.lookup(route)? else { continue };
             walk.clear();
             let truncated = match hi {
@@ -129,7 +128,7 @@ impl CompositeFlat {
                     false
                 }
                 Some(h) => probe.walk(
-                    &self.host.range_walk(lo_key, self.key_of(sub.attr, h), 0),
+                    &self.host.range_walk(lo_key, self.key_of(sub.attr, h)),
                     route.terminal,
                     sub_msg,
                     &mut walk,
@@ -184,15 +183,6 @@ impl ResourceDiscovery for CompositeFlat {
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
         Ok(self.query_with(phys, q, &mut Plain)?.outcome)
-    }
-
-    fn query_from_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn directory_loads(&self) -> LoadDist {
@@ -328,24 +318,6 @@ mod tests {
                 assert_eq!(got, expected, "{mix:?}");
             }
         }
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, c) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            let queries: Vec<_> = (0..50).map(|_| w.random_query(3, mix, &mut rng)).collect();
-            for pass in 0..2 {
-                for (i, q) in queries.iter().enumerate() {
-                    let plain = c.query_from(i % 512, q).unwrap();
-                    let cached = c.query_from_cached(i % 512, q, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{mix:?} query {i} pass {pass}");
-                }
-            }
-        }
-        assert!(cache.hits() > 0, "replayed segment lookups must hit");
     }
 
     #[test]

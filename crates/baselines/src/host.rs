@@ -3,11 +3,9 @@
 
 use chord::{Chord, ChordConfig};
 use dht_core::{
-    clockwise_dist, BuildMode, DhtError, NodeIdx, Overlay, RepairStats, RouteStats, Walk, WalkEnd,
-    WalkKey, WalkStep,
+    clockwise_dist, BuildMode, DhtError, NodeIdx, Overlay, RepairStats, RouteStats, Walk,
 };
 use grid_resource::{AttrId, Directory, PieceKey, ReplicaStore, ResourceInfo, ValueTarget};
-use std::ops::ControlFlow;
 
 /// Per-piece routing keys callback: systems place a report under
 /// system-specific keys (SWORD hashes the attribute, MAAN both the
@@ -287,17 +285,15 @@ impl ChordHost {
     /// The clockwise range walk of Mercury, MAAN and CompositeFlat: from
     /// the root of `lo_key`, probe successive nodes until the first node
     /// at-or-past `hi_key` on the directed arc from `lo_key`. Run it
-    /// through a [`Probe`](dht_core::Probe); `salt` namespaces overlays
-    /// sharing one route cache (Mercury passes the hub index, single-ring
-    /// systems 0).
+    /// through a [`Probe`](dht_core::Probe).
     ///
     /// The directed-arc criterion (rather than "stop at the root of
     /// `hi_key`") matters when the arc wraps past the largest identifier:
     /// `root(lo)` and `root(hi)` can then coincide while every node in
     /// between still holds matching values. The walk stops early if
     /// pointers are broken (churn) or after a full circle.
-    pub fn range_walk(&self, lo_key: u64, hi_key: u64, salt: u64) -> ArcWalk<'_> {
-        ArcWalk { net: &self.net, lo: lo_key, span: clockwise_dist(lo_key, hi_key), salt }
+    pub fn range_walk(&self, lo_key: u64, hi_key: u64) -> ArcWalk<'_> {
+        ArcWalk { net: &self.net, lo: lo_key, span: clockwise_dist(lo_key, hi_key) }
     }
 
     /// Per-live-node directory sizes, indexed in `live_nodes()` order.
@@ -312,15 +308,13 @@ impl ChordHost {
 }
 
 /// A clockwise range walk over one Chord ring (see
-/// [`ChordHost::range_walk`]). Each step carries the clockwise distance
-/// from `lo` of the node that admitted it — the quantity the arc rule
-/// (`dist < span`) tests.
+/// [`ChordHost::range_walk`]): it advances while the current node's
+/// clockwise distance from `lo` is below the arc's `span`.
 #[derive(Debug, Clone, Copy)]
 pub struct ArcWalk<'a> {
     net: &'a Chord,
     lo: u64,
     span: u64,
-    salt: u64,
 }
 
 impl Walk for ArcWalk<'_> {
@@ -328,35 +322,21 @@ impl Walk for ArcWalk<'_> {
         self.net.len()
     }
 
-    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> ControlFlow<WalkEnd, WalkStep> {
-        let Ok(cur_id) = self.net.id_of(cur) else {
-            return ControlFlow::Break(WalkEnd::Exhausted);
-        };
+    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> Option<NodeIdx> {
         // `cur` covers keys up to its own id; once it sits at or past
         // hi (walking clockwise from lo), the arc is covered.
-        let dist = clockwise_dist(self.lo, cur_id);
-        if !self.admits(dist) {
-            return ControlFlow::Break(WalkEnd::Covered);
+        let cur_id = self.net.id_of(cur).ok()?;
+        if clockwise_dist(self.lo, cur_id) >= self.span {
+            return None;
         }
-        match self.net.next_clockwise(cur) {
-            Ok(next) if next != start => ControlFlow::Continue(WalkStep { node: next, dist }),
-            _ => ControlFlow::Break(WalkEnd::Exhausted),
-        }
-    }
-
-    fn admits(&self, dist: u64) -> bool {
-        dist < self.span
-    }
-
-    fn cache_key(&self) -> Option<WalkKey> {
-        Some(WalkKey { salt: self.salt, lo: self.lo, span: self.span, epoch: self.net.epoch() })
+        self.net.next_clockwise(cur).ok().filter(|&next| next != start)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dht_core::{Cached, FaultAccount, FaultPlan, Faulty, Plain, Probe, RouteCache};
+    use dht_core::{FaultAccount, FaultPlan, Faulty, Plain, Probe};
 
     /// Run the range walk `[lo, hi]` from `start` under `probe`.
     fn walk_with<P: Probe>(
@@ -367,7 +347,7 @@ mod tests {
         hi: u64,
     ) -> Vec<NodeIdx> {
         let mut out = Vec::new();
-        probe.walk(&h.range_walk(lo, hi, 0), start, 9, &mut out);
+        probe.walk(&h.range_walk(lo, hi), start, 9, &mut out);
         out
     }
 
@@ -444,66 +424,13 @@ mod tests {
     }
 
     #[test]
-    fn cached_walk_matches_plain_walk() {
-        let h = ChordHost::build(128, 4);
-        let start = h.net().owner_of(0).unwrap();
-        let mut cache = RouteCache::new();
-        // Two-touch admission: the first sighting runs plain (and is
-        // still byte-identical), the second records...
-        let primed = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX / 2);
-        let first = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX / 2);
-        assert_eq!(primed, first);
-        assert_eq!(first, plain_walk(&h, start, 0, u64::MAX / 2));
-        // ...and narrower spans replay from it, byte-identical.
-        for hi in [u64::MAX / 8, u64::MAX / 4, u64::MAX / 2] {
-            let cached = walk_with(&h, &mut Cached(&mut cache), start, 0, hi);
-            assert_eq!(cached, plain_walk(&h, start, 0, hi));
-        }
-        assert_eq!(cache.walk_hits(), 3, "every narrower span replays from cache");
-    }
-
-    #[test]
-    fn exhaustion_terminated_walk_serves_any_span() {
-        // A full-circle walk stopped for a span-independent reason emits
-        // everything reachable: it must serve narrower queries too.
-        let h = ChordHost::build(64, 8);
-        let start = h.net().owner_of(0).unwrap();
-        let mut cache = RouteCache::new();
-        // Twice: the first sighting only stamps the admission candidate.
-        walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX);
-        let full = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX);
-        assert_eq!(full.len(), 64);
-        let quarter = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX / 4);
-        assert_eq!(quarter, plain_walk(&h, start, 0, u64::MAX / 4));
-        assert_eq!(cache.walk_hits(), 1);
-    }
-
-    #[test]
-    fn churn_invalidates_cached_walks() {
-        let mut h = ChordHost::build(64, 9);
-        let start = h.net().owner_of(0).unwrap();
-        let mut cache = RouteCache::new();
-        let before = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX / 4);
-        // Kill a node on the walked arc and repair: the epoch moved, so
-        // the stale segment must re-walk, matching the fresh plain walk.
-        let victim = before[1];
-        h.net_mut().fail(victim).unwrap();
-        h.net_mut().rebuild_all_state();
-        let hits_before = cache.walk_hits();
-        let after = walk_with(&h, &mut Cached(&mut cache), start, 0, u64::MAX / 4);
-        assert_eq!(cache.walk_hits(), hits_before, "stale epoch cannot hit");
-        assert_eq!(after, plain_walk(&h, start, 0, u64::MAX / 4));
-        assert!(!after.contains(&victim));
-    }
-
-    #[test]
     fn inert_faulty_walk_matches_plain_walk() {
         let h = ChordHost::build(128, 4);
         let start = h.net().owner_of(0).unwrap();
         let plan = FaultPlan::none();
         let mut probe = Faulty::new(&plan, 9);
         let mut faulty = Vec::new();
-        let truncated = probe.walk(&h.range_walk(0, u64::MAX / 4, 0), start, 9, &mut faulty);
+        let truncated = probe.walk(&h.range_walk(0, u64::MAX / 4), start, 9, &mut faulty);
         assert!(!truncated);
         assert_eq!(faulty, plain_walk(&h, start, 0, u64::MAX / 4));
         assert_eq!(probe.account(), FaultAccount::default());
@@ -516,7 +443,7 @@ mod tests {
         let plan = FaultPlan::new(1, 1.0, 0.0).unwrap();
         let mut probe = Faulty::new(&plan, 9);
         let mut walk = Vec::new();
-        let truncated = probe.walk(&h.range_walk(0, u64::MAX / 4, 0), start, 9, &mut walk);
+        let truncated = probe.walk(&h.range_walk(0, u64::MAX / 4), start, 9, &mut walk);
         assert!(truncated);
         assert_eq!(walk, vec![start], "first probe drops twice: only the start is covered");
         assert_eq!(probe.account().dropped_msgs, 2);

@@ -17,8 +17,8 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    hashing::splitmix64, BuildMode, Cached, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist,
-    LocalityHash, LookupTally, NodeIdx, Plain, Probe, RouteCache,
+    hashing::splitmix64, BuildMode, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist,
+    LocalityHash, LookupTally, NodeIdx, Plain, Probe,
 };
 use grid_resource::{
     AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
@@ -101,8 +101,7 @@ impl Maan {
 
     /// Resolve `q` under `probe`: two lookups per attribute — the
     /// attribute registration, then the value registration, from whose
-    /// root a range walks the ring. Attribute and value keys share one
-    /// ring, so one cache salt serves both; the keys disambiguate.
+    /// root a range walks the ring.
     fn query_with<P: Probe>(
         &self,
         phys: usize,
@@ -122,8 +121,7 @@ impl Maan {
             // Lookup 1: the attribute registration. Its failure degrades
             // the sub-query (metadata unavailable) but the value walk can
             // still produce the owners.
-            let attr_route =
-                probe.lookup(net, from, self.attr_key(sub.attr), 0, splitmix64(sub_msg));
+            let attr_route = probe.lookup(net, from, self.attr_key(sub.attr), splitmix64(sub_msg));
             let attr_ok = match out.lookup(attr_route)? {
                 Some(r) => {
                     out.visit(r.terminal);
@@ -135,7 +133,7 @@ impl Maan {
             // Without it the sub-query has no owners at all.
             let (lo, hi) = sub.target.bounds();
             let lo_key = self.value_key(lo);
-            let value_route = probe.lookup(net, from, lo_key, 0, sub_msg);
+            let value_route = probe.lookup(net, from, lo_key, sub_msg);
             let Some(route) = out.lookup(value_route)? else { continue };
             walk.clear();
             let truncated = match hi {
@@ -144,7 +142,7 @@ impl Maan {
                     false
                 }
                 Some(h) => probe.walk(
-                    &self.host.range_walk(lo_key, self.value_key(h), 0),
+                    &self.host.range_walk(lo_key, self.value_key(h)),
                     route.terminal,
                     sub_msg,
                     &mut walk,
@@ -213,15 +211,6 @@ impl ResourceDiscovery for Maan {
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
         Ok(self.query_with(phys, q, &mut Plain)?.outcome)
-    }
-
-    fn query_from_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -448,31 +437,6 @@ mod tests {
         let (_, m) = setup();
         let loaded = m.directory_loads().loads().iter().filter(|&&l| l > 0.0).count();
         assert!((60..=105).contains(&loaded), "{loaded} of 256 nodes hold pieces");
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut m) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..50usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = m.query_from(i % 256, &q).unwrap();
-                let cached = m.query_from_cached(i % 256, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
-            }
-        }
-        assert!(cache.hits() > 0, "repeated double lookups must hit");
-        m.leave_physical(3).unwrap();
-        m.stabilize();
-        m.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(i % 250 + 4, &q).unwrap();
-            let cached = m.query_from_cached(i % 250 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
     }
 
     #[test]

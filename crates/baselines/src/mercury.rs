@@ -15,8 +15,8 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    BuildMode, Cached, DhtError, FaultPlan, Faulty, LoadDist, LocalityHash, LookupTally, NodeIdx,
-    Overlay, Plain, Probe, RouteCache,
+    BuildMode, DhtError, FaultPlan, Faulty, LoadDist, LocalityHash, LookupTally, NodeIdx, Overlay,
+    Plain, Probe,
 };
 use grid_resource::{
     AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
@@ -125,12 +125,9 @@ impl Mercury {
             }
             let sub_msg = probe.sub_msg(i);
             let hub = &self.hubs[sub.attr.0 as usize];
-            // Hubs are independent rings sharing one cache: the hub index
-            // salts every entry so equal (from, key) pairs never alias.
-            let salt = u64::from(sub.attr.0);
             let (lo, hi) = sub.target.bounds();
             let lo_key = self.value_key(lo);
-            let route = probe.lookup(hub.net(), from, lo_key, salt, sub_msg);
+            let route = probe.lookup(hub.net(), from, lo_key, sub_msg);
             let Some(route) = out.lookup(route)? else { continue };
             walk.clear();
             let truncated = match hi {
@@ -139,7 +136,7 @@ impl Mercury {
                     false
                 }
                 Some(h) => probe.walk(
-                    &hub.range_walk(lo_key, self.value_key(h), salt),
+                    &hub.range_walk(lo_key, self.value_key(h)),
                     route.terminal,
                     sub_msg,
                     &mut walk,
@@ -217,15 +214,6 @@ impl ResourceDiscovery for Mercury {
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
         Ok(self.query_with(phys, q, &mut Plain)?.outcome)
-    }
-
-    fn query_from_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -514,37 +502,6 @@ mod tests {
             }
         }
         assert!(degraded > 0, "20% loss should degrade some queries");
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut m) = setup();
-        let mut cache = dht_core::RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            let queries: Vec<_> = (0..50).map(|_| w.random_query(3, mix, &mut rng)).collect();
-            // Two passes over the same stream: the second must answer its
-            // lookups from memory and still match the plain path exactly.
-            for pass in 0..2 {
-                for (i, q) in queries.iter().enumerate() {
-                    let plain = m.query_from(i % 128, q).unwrap();
-                    let cached = m.query_from_cached(i % 128, q, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{mix:?} query {i} pass {pass}");
-                }
-            }
-        }
-        assert!(cache.hits() > 0, "replayed hub lookups must hit");
-        // Churn every hub in lock-step: stale entries must miss and the
-        // cached path must keep matching the repaired hubs.
-        m.leave_physical(3).unwrap();
-        m.stabilize();
-        m.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = m.query_from(i % 120 + 4, &q).unwrap();
-            let cached = m.query_from_cached(i % 120 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
     }
 
     #[test]

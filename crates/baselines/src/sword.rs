@@ -10,8 +10,8 @@
 
 use crate::host::ChordHost;
 use dht_core::{
-    BuildMode, Cached, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx,
-    Plain, Probe, RouteCache,
+    BuildMode, ConsistentHash, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx, Plain,
+    Probe,
 };
 use grid_resource::{
     AttrId, AttributeSpace, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
@@ -100,7 +100,7 @@ impl Sword {
                 continue;
             }
             let key = self.key_of(sub.attr);
-            let route = probe.lookup(self.host.net(), from, key, 0, probe.sub_msg(i));
+            let route = probe.lookup(self.host.net(), from, key, probe.sub_msg(i));
             let Some(route) = out.lookup(route)? else { continue };
             let owners = self.host.matches_in(route.terminal, sub.attr, &sub.target);
             out.answer(&[route.terminal], owners, true);
@@ -157,15 +157,6 @@ impl ResourceDiscovery for Sword {
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
         Ok(self.query_with(phys, q, &mut Plain)?.outcome)
-    }
-
-    fn query_from_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -342,31 +333,6 @@ mod tests {
     fn total_pieces_is_one_per_report() {
         let (w, s) = setup();
         assert_eq!(s.total_pieces(), w.reports.len());
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        let (w, mut s) = setup();
-        let mut cache = RouteCache::new();
-        let mut rng = SmallRng::seed_from_u64(0xCA);
-        for mix in [QueryMix::NonRange, QueryMix::Range] {
-            for i in 0..50usize {
-                let q = w.random_query(3, mix, &mut rng);
-                let plain = s.query_from(i % 256, &q).unwrap();
-                let cached = s.query_from_cached(i % 256, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{mix:?} query {i}");
-            }
-        }
-        assert!(cache.hits() > 0, "repeated attribute lookups must hit");
-        s.leave_physical(3).unwrap();
-        s.stabilize();
-        s.place_all(&w.reports);
-        for i in 0..20usize {
-            let q = w.random_query(2, QueryMix::Range, &mut rng);
-            let plain = s.query_from(i % 250 + 4, &q).unwrap();
-            let cached = s.query_from_cached(i % 250 + 4, &q, &mut cache).unwrap();
-            assert_eq!(cached, plain, "post-churn query {i}");
-        }
     }
 
     #[test]

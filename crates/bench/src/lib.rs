@@ -26,7 +26,7 @@ pub mod perf;
 pub mod scale;
 
 use grid_resource::QueryPlan;
-use sim::experiments::{ablation, fig3, fig4, fig5, fig6, worstcase, Engine};
+use sim::experiments::{ablation, fig3, fig4, fig5, fig6, worstcase};
 use sim::{BedCache, Report, SimConfig};
 use std::path::PathBuf;
 
@@ -156,10 +156,6 @@ pub struct ReproConfig {
     /// Perf and scale modes: diff the run against this committed BENCH
     /// file and exit non-zero on a per-kernel wall-clock regression.
     pub baseline: Option<PathBuf>,
-    /// Run the figure pipelines through the route-cached batch executor
-    /// (the default — reports are bit-identical to the plain engine;
-    /// `--no-cache` flips this to re-verify that equivalence end to end).
-    pub cached: bool,
     /// Multi-attribute query plan for the query-driven figures (fig4,
     /// fig5): parallel (the paper's §III semantics, the default),
     /// sequential, or adaptive selective-first.
@@ -178,7 +174,6 @@ impl Default for ReproConfig {
             scale: false,
             durability: false,
             baseline: None,
-            cached: true,
             plan: QueryPlan::Parallel,
         }
     }
@@ -213,14 +208,6 @@ impl ReproConfig {
             fig6::ChurnSetup::default()
         }
     }
-
-    fn engine(&self) -> Engine {
-        if self.cached {
-            Engine::Cached
-        } else {
-            Engine::Plain
-        }
-    }
 }
 
 /// Run one artifact and build its structured report, with a transient
@@ -247,26 +234,21 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             let bed = cache.bed(sim_cfg);
             // paper: 100 nodes × 10 queries each
             let (origins, per) = if cfg.quick { (20, 5) } else { (100, 10) };
-            fig4::fig4_planned(&bed, 1..=10, origins, per, cfg.engine(), cfg.plan).report()
+            fig4::fig4_planned(&bed, 1..=10, origins, per, cfg.plan).report()
         }
         Artifact::Fig5 => {
             let bed = cache.bed(sim_cfg);
-            fig5::fig5_planned(&bed, 1..=10, cfg.queries(), cfg.engine(), cfg.plan).report()
+            fig5::fig5_planned(&bed, 1..=10, cfg.queries(), cfg.plan).report()
         }
-        Artifact::Fig6a => fig6::fig6_with_engine(
-            &sim_cfg,
-            &cfg.churn_setup(),
-            sim::experiments::Metric::Hops,
-            cache,
-            cfg.engine(),
-        )
-        .report(),
-        Artifact::Fig6b => fig6::fig6_with_engine(
+        Artifact::Fig6a => {
+            fig6::fig6_cached(&sim_cfg, &cfg.churn_setup(), sim::experiments::Metric::Hops, cache)
+                .report()
+        }
+        Artifact::Fig6b => fig6::fig6_cached(
             &sim_cfg,
             &cfg.churn_setup(),
             sim::experiments::Metric::Visited,
             cache,
-            cfg.engine(),
         )
         .report(),
         Artifact::T410 => {
@@ -278,14 +260,9 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             // range queries return many matches, so lost directory entries
             // are actually observable as stale answers
             let setup = fig6::ChurnSetup { graceful: false, ..cfg.churn_setup() };
-            let mut rep = fig6::fig6_with_engine(
-                &sim_cfg,
-                &setup,
-                sim::experiments::Metric::Visited,
-                cache,
-                cfg.engine(),
-            )
-            .report();
+            let mut rep =
+                fig6::fig6_cached(&sim_cfg, &setup, sim::experiments::Metric::Visited, cache)
+                    .report();
             rep.note(
                 "(extension: departures are abrupt failures; stale links and lost \
                  directory entries persist until the next maintenance round)",
@@ -395,7 +372,7 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
     args: I,
 ) -> Result<(ReproConfig, Vec<Artifact>), String> {
     const USAGE: &str = "usage: repro [--quick] [--seed=N] [--shards=N] \
-                         [--json <path>] [--baseline <BENCH.json>] [--no-cache] \
+                         [--json <path>] [--baseline <BENCH.json>] \
                          [--plan=parallel|sequential|adaptive] \
                          [perf | chaos | scale | durability | theorems fig3a \
                           fig3bcd fig3sweep fig4 fig5 fig6a fig6b t410 \
@@ -434,7 +411,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
                 cfg.plan = QueryPlan::parse(&s["--plan=".len()..])
                     .ok_or(format!("bad plan in {s:?} (parallel|sequential|adaptive)\n{USAGE}"))?;
             }
-            "--no-cache" => cfg.cached = false,
             "perf" => cfg.perf = true,
             "chaos" => cfg.chaos = true,
             "scale" => cfg.scale = true,
@@ -448,8 +424,14 @@ pub fn parse_args<I: IntoIterator<Item = String>>(
     if artifacts.is_empty() {
         artifacts = Artifact::ALL.to_vec();
     }
-    artifacts.dedup();
-    Ok((cfg, artifacts))
+    // Keep each artifact's first occurrence: `repro all fig4` runs fig4 once.
+    let mut unique = Vec::with_capacity(artifacts.len());
+    for a in artifacts {
+        if !unique.contains(&a) {
+            unique.push(a);
+        }
+    }
+    Ok((cfg, unique))
 }
 
 /// One completed artifact run, ready for the JSON export.
@@ -516,6 +498,13 @@ mod tests {
         let (cfg, arts) = parse_args(["--quick".into(), "fig4".into(), "t410".into()]).unwrap();
         assert!(cfg.quick);
         assert_eq!(arts, vec![Artifact::Fig4, Artifact::T410]);
+        // A target named twice runs (and exports) once, at its first
+        // position, whether or not the repeats are adjacent.
+        let args = ["--quick", "theorems", "fig3a", "theorems", "--json", "d.json"];
+        let (_, arts) = parse_args(args.map(String::from)).unwrap();
+        assert_eq!(arts, vec![Artifact::Theorems, Artifact::Fig3a]);
+        let (_, arts) = parse_args(["all".into(), "fig4".into()]).unwrap();
+        assert_eq!(arts, Artifact::ALL.to_vec());
     }
 
     #[test]

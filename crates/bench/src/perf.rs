@@ -54,10 +54,6 @@ pub struct PerfKernel {
     pub ops_per_sec: f64,
     /// Mean heap allocations per iteration, when a counter was installed.
     pub allocs_per_iter: Option<f64>,
-    /// Route-cache hit rate over one deterministic warm pass, for the
-    /// cached kernels only. A pure function of the seed and the cache
-    /// geometry — CI pins it exactly against the committed baseline.
-    pub cache_hit_rate: Option<f64>,
 }
 
 fn time_kernel(name: &'static str, phase: Phase, iters: u64, mut f: impl FnMut()) -> PerfKernel {
@@ -92,7 +88,6 @@ fn time_kernel(name: &'static str, phase: Phase, iters: u64, mut f: impl FnMut()
         elapsed_ms: best * 1e3,
         ops_per_sec: iters as f64 / best.max(1e-12),
         allocs_per_iter: None,
-        cache_hit_rate: None,
     }
 }
 
@@ -209,60 +204,6 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     });
     kernels.push(k);
 
-    // --- cached routing: the same plan through the route cache ---------
-    // Hit rate is measured FIRST, on a deterministic schedule (fresh
-    // cache, one warm pass, reset, one counted pass): the timing loop's
-    // pass count varies with wall-clock, so counting hits there would
-    // not reproduce across runs. Route-slot contents after any full pass
-    // over the plan depend only on the plan, so the rate is a pure
-    // function of the seed and CI pins it exactly.
-    {
-        let mut cache = dht_core::RouteCache::new();
-        for &(from, key) in &chord_plan {
-            let _ = dht_core::route_stats_cached(&chord, from, key, 0, &mut cache);
-        }
-        cache.reset_counters();
-        for &(from, key) in &chord_plan {
-            let _ = dht_core::route_stats_cached(&chord, from, key, 0, &mut cache);
-        }
-        let hit_rate = cache.hit_rate();
-        let cache_cell = std::cell::RefCell::new(cache);
-        let mut k = time_kernel("chord_route_cached", "query", route_iters, {
-            let mut i = 0usize;
-            let plan = &chord_plan;
-            let net = &chord;
-            let cache = &cache_cell;
-            move || {
-                let (from, key) = plan[i % plan.len()];
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(
-                    dht_core::route_stats_cached(net, from, key, 0, &mut c)
-                        .map(|r| r.hops)
-                        .unwrap_or(0),
-                );
-                i += 1;
-            }
-        });
-        measure_allocs(&mut k, counter, probe_iters, {
-            let mut i = 0usize;
-            let plan = &chord_plan;
-            let net = &chord;
-            let cache = &cache_cell;
-            move || {
-                let (from, key) = plan[i % plan.len()];
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(
-                    dht_core::route_stats_cached(net, from, key, 0, &mut c)
-                        .map(|r| r.hops)
-                        .unwrap_or(0),
-                );
-                i += 1;
-            }
-        });
-        k.cache_hit_rate = hit_rate;
-        kernels.push(k);
-    }
-
     // --- maintenance: the perfect-repair tick every churn round pays ---
     let maint_iters = if cfg.quick { 10 } else { 20 };
     let mut maint_net =
@@ -290,69 +231,6 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
         let origin = q_rng.gen_range(0..sim_cfg.nodes);
         std::hint::black_box(lorm.query_from(origin, &q).map(|o| o.tally.visited).unwrap_or(0));
     }));
-
-    // --- batched LORM range probing: the sim executor's cached path ----
-    // One iteration = one full batch through the locality-sorted,
-    // route-cached executor (shards=1 so the caller's cache persists).
-    // Hit rate measured first on the same deterministic schedule as
-    // chord_route_cached, with TWO warm passes: two-touch admission means
-    // a repeated walk key is stamped on pass one and recorded on pass
-    // two, so pass three is the first steady-state pass. The equivalence
-    // tests in `sim` prove the batch summary is bit-identical to the
-    // plain executor's.
-    {
-        let mut batch_rng = SmallRng::seed_from_u64(cfg.seed ^ 0x12);
-        let batch: Vec<(usize, grid_resource::Query)> = (0..probe_q)
-            .map(|_| {
-                let origin = batch_rng.gen_range(0..sim_cfg.nodes);
-                (origin, workload.random_query(1, QueryMix::Range, &mut batch_rng))
-            })
-            .collect();
-        use sim::experiments::{run_batch_cached_sharded, Metric};
-        let mut cache = dht_core::RouteCache::new();
-        for _ in 0..2 {
-            std::hint::black_box(run_batch_cached_sharded(
-                &lorm,
-                &batch,
-                Metric::Visited,
-                1,
-                &mut cache,
-            ));
-        }
-        cache.reset_counters();
-        std::hint::black_box(run_batch_cached_sharded(
-            &lorm,
-            &batch,
-            Metric::Visited,
-            1,
-            &mut cache,
-        ));
-        let hit_rate = cache.hit_rate();
-        let cache_cell = std::cell::RefCell::new(cache);
-        let mut k = time_kernel("lorm_range_probe_batched", "query", 1, {
-            let batch = &batch;
-            let lorm = &lorm;
-            let cache = &cache_cell;
-            move || {
-                let mut c = cache.borrow_mut();
-                std::hint::black_box(run_batch_cached_sharded(
-                    lorm,
-                    batch,
-                    Metric::Visited,
-                    1,
-                    &mut c,
-                ));
-            }
-        });
-        // One timed "iteration" was the whole probe_q-query batch:
-        // rescale iters/ops_per_sec to per-query units so the kernel
-        // reads side by side with lorm_range_probe (elapsed_ms already
-        // covers the same probe_q queries in both).
-        k.iters = probe_q;
-        k.ops_per_sec = probe_q as f64 / (k.elapsed_ms / 1e3).max(1e-12);
-        k.cache_hit_rate = hit_rate;
-        kernels.push(k);
-    }
 
     // --- planner: zero-alloc candidate intersection --------------------
     // One iteration = refill the accumulator from the large sorted set
@@ -514,7 +392,7 @@ pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":{},\"phase\":{},\"iters\":{},\"elapsed_ms\":{},\"ops_per_sec\":{},\"allocs_per_iter\":{},\"cache_hit_rate\":{}}}",
+            "{{\"name\":{},\"phase\":{},\"iters\":{},\"elapsed_ms\":{},\"ops_per_sec\":{},\"allocs_per_iter\":{}}}",
             json_str(k.name),
             json_str(k.phase),
             k.iters,
@@ -522,10 +400,6 @@ pub fn render_perf_json(cfg: &ReproConfig, kernels: &[PerfKernel]) -> String {
             json_num(k.ops_per_sec),
             match k.allocs_per_iter {
                 Some(a) => json_num(a),
-                None => "null".into(),
-            },
-            match k.cache_hit_rate {
-                Some(h) => json_num(h),
                 None => "null".into(),
             }
         ));
@@ -638,11 +512,11 @@ pub fn render_delta_table(path: &std::path::Path, deltas: &[KernelDelta]) -> Str
 /// Render the perf run as a markdown table for terminal output.
 pub fn render_perf_table(kernels: &[PerfKernel]) -> String {
     let mut out = String::from("## Performance kernels\n\n");
-    out.push_str("| kernel | phase | iters | elapsed (ms) | ops/sec | allocs/iter | hit rate |\n");
-    out.push_str("|---|---|---|---|---|---|---|\n");
+    out.push_str("| kernel | phase | iters | elapsed (ms) | ops/sec | allocs/iter |\n");
+    out.push_str("|---|---|---|---|---|---|\n");
     for k in kernels {
         out.push_str(&format!(
-            "| {} | {} | {} | {:.1} | {:.0} | {} | {} |\n",
+            "| {} | {} | {} | {:.1} | {:.0} | {} |\n",
             k.name,
             k.phase,
             k.iters,
@@ -650,10 +524,6 @@ pub fn render_perf_table(kernels: &[PerfKernel]) -> String {
             k.ops_per_sec,
             match k.allocs_per_iter {
                 Some(a) => format!("{a:.2}"),
-                None => "-".into(),
-            },
-            match k.cache_hit_rate {
-                Some(h) => format!("{:.1}%", h * 100.0),
                 None => "-".into(),
             }
         ));
@@ -678,7 +548,6 @@ mod tests {
                 elapsed_ms: 2.5,
                 ops_per_sec: 40_000.0,
                 allocs_per_iter: Some(0.0),
-                cache_hit_rate: None,
             },
             PerfKernel {
                 name: "build_bed_lorm",
@@ -687,7 +556,6 @@ mod tests {
                 elapsed_ms: 40.0,
                 ops_per_sec: 25.0,
                 allocs_per_iter: None,
-                cache_hit_rate: None,
             },
             PerfKernel {
                 name: "fig4_quick",
@@ -696,7 +564,6 @@ mod tests {
                 elapsed_ms: 150.0,
                 ops_per_sec: 6.7,
                 allocs_per_iter: None,
-                cache_hit_rate: Some(0.875),
             },
         ]
     }
@@ -712,8 +579,6 @@ mod tests {
         assert!(j.contains("\"name\":\"build_bed_lorm\",\"phase\":\"build\""));
         assert!(j.contains("\"allocs_per_iter\":0"));
         assert!(j.contains("\"allocs_per_iter\":null"));
-        assert!(j.contains("\"cache_hit_rate\":0.875"));
-        assert!(j.contains("\"cache_hit_rate\":null"));
         assert!(j.ends_with("]}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
@@ -727,13 +592,11 @@ mod tests {
             elapsed_ms: 1.0,
             ops_per_sec: 10_000.0,
             allocs_per_iter: None,
-            cache_hit_rate: Some(0.5),
         }];
         let t = render_perf_table(&kernels);
         assert!(t.contains("cycloid_route_stats"));
         assert!(t.contains("| query |"), "phase column present: {t}");
         assert!(t.contains("| - |"), "unmeasured allocs render as a dash: {t}");
-        assert!(t.contains("50.0%"), "hit rate renders as a percentage: {t}");
     }
 
     #[test]

@@ -284,7 +284,6 @@ pub fn run_scale_at(
             elapsed_ms: p.build_ms,
             ops_per_sec: p.n as f64 / (p.build_ms / 1e3).max(1e-12),
             allocs_per_iter: None,
-            cache_hit_rate: None,
         });
         kernels.push(PerfKernel {
             name: kernel_name(p.system, "query", p.n),
@@ -293,7 +292,6 @@ pub fn run_scale_at(
             elapsed_ms: query_ms,
             ops_per_sec: p.query_ops_per_sec,
             allocs_per_iter: None,
-            cache_hit_rate: None,
         });
         points.push(p);
     };

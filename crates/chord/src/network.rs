@@ -78,13 +78,6 @@ pub struct Chord {
     /// bulk path, which sorts once.
     used_ids: Vec<u64>,
     rng: SmallRng,
-    /// Mutation epoch: strictly increases on every write to routing state
-    /// (membership, successor lists, predecessors, fingers). The route
-    /// cache stamps entries with it; see [`Overlay::epoch`]. Starts at 1
-    /// so the cache can use 0 as its empty-slot sentinel. A cache must
-    /// serve a single overlay instance — two clones that diverge after
-    /// copying the same epoch must not share one.
-    epoch: u64,
 }
 
 /// Successor staleness sampled over every live node's node-local view —
@@ -136,17 +129,7 @@ impl Chord {
             sorted: Vec::new(),
             used_ids: Vec::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xC0FFEE),
-            epoch: 1,
         }
-    }
-
-    /// Advance the mutation epoch. Every function that writes routing
-    /// state calls this (the `epoch-bump` lint enforces it); redundant
-    /// bumps along one public operation are harmless — only strict
-    /// increase matters.
-    #[inline]
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
     }
 
     /// Bulk-construct a fully stabilized network of `n` nodes with random
@@ -188,7 +171,6 @@ impl Chord {
     /// per-join inserts were O(n²) aggregate.
     fn bulk_join(&mut self, n: usize) {
         debug_assert!(self.ids.is_empty(), "bulk join only assembles fresh overlays");
-        self.bump_epoch();
         let hash = ConsistentHash::new(self.cfg.seed);
         let mut taken: BTreeSet<u64> = BTreeSet::new();
         let mut drawn: Vec<u64> = Vec::with_capacity(n);
@@ -255,7 +237,6 @@ impl Chord {
             "arena exceeds u32 slot range ({} slots, NO_LINK reserved)",
             self.ids.len()
         );
-        self.bump_epoch();
         let idx = NodeIdx(self.ids.len());
         self.ids.push(id);
         self.alive.push(alive);
@@ -311,7 +292,6 @@ impl Chord {
     /// Overwrite `slot`'s successor list (truncating to the configured
     /// length; the tail of the stride is cleared).
     fn write_succs(&mut self, slot: usize, list: &[u32]) {
-        self.bump_epoch();
         let r = self.cfg.succ_list_len;
         let n = list.len().min(r);
         self.succs[slot * r..slot * r + n].copy_from_slice(&list[..n]);
@@ -350,7 +330,6 @@ impl Chord {
     }
 
     fn push_node(&mut self, id: u64) -> NodeIdx {
-        self.bump_epoch();
         let idx = self.push_arena(id, true);
         self.record_id(id);
         let pos = self.sorted.partition_point(|&j| self.ids[j.0] < id);
@@ -365,7 +344,6 @@ impl Chord {
     /// Recompute every node's successor list, predecessor and fingers from
     /// ground truth (perfect stabilization). Used by `build` and by tests.
     pub fn rebuild_all_state(&mut self) {
-        self.bump_epoch();
         let n = self.sorted.len();
         if n == 0 {
             return;
@@ -542,7 +520,6 @@ impl Chord {
             return Err(DhtError::IdSpaceExhausted);
         }
         self.check_live(bootstrap)?;
-        self.bump_epoch();
         // Find the successor of the new id by routing from the bootstrap
         // (untraced: only the terminal matters).
         let succ = self.route_stats_from(bootstrap, id)?.terminal;
@@ -578,7 +555,6 @@ impl Chord {
 
     fn retire(&mut self, idx: NodeIdx) -> Result<(), DhtError> {
         self.check_live(idx)?;
-        self.bump_epoch();
         self.alive[idx.0] = false;
         let id = self.ids[idx.0];
         if let Ok(pos) = self.used_ids.binary_search(&id) {
@@ -594,7 +570,6 @@ impl Chord {
     /// immediately. Other nodes' fingers stay stale until repair.
     pub fn leave(&mut self, idx: NodeIdx) -> Result<(), DhtError> {
         self.check_live(idx)?;
-        self.bump_epoch();
         let succ_list: Vec<u32> = self.raw_succs(idx.0).to_vec();
         let pred_raw = self.preds[idx.0];
         self.retire(idx)?;
@@ -637,7 +612,6 @@ impl Chord {
     /// sits between), repair the successor list, and re-notify.
     pub fn stabilize(&mut self, idx: NodeIdx) -> Result<(), DhtError> {
         self.check_live(idx)?;
-        self.bump_epoch();
         let my_id = self.ids[idx.0];
         // First alive successor-list entry becomes the working successor.
         let first_alive = self.raw_succs(idx.0).iter().copied().find(|&s| self.alive[s as usize]);
@@ -698,7 +672,6 @@ impl Chord {
     /// current (possibly stale) overlay state.
     pub fn fix_fingers(&mut self, idx: NodeIdx) -> Result<(), DhtError> {
         self.check_live(idx)?;
-        self.bump_epoch();
         let id = self.ids[idx.0];
         for i in 0..FINGER_BITS {
             let target = id.wrapping_add(1u64 << i);
@@ -761,14 +734,6 @@ impl Overlay for Chord {
 
     fn len(&self) -> usize {
         self.sorted.len()
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn key_bits(&self, key: u64) -> u64 {
-        key
     }
 
     fn live_nodes(&self) -> &[NodeIdx] {
@@ -1069,31 +1034,6 @@ mod tests {
         seen.sort_unstable();
         seen.dedup();
         assert_eq!(seen.len(), n, "tombstone ids must be collision-free");
-    }
-
-    #[test]
-    fn mutating_ops_strictly_increase_epoch() {
-        let mut c = net(16);
-        assert!(c.epoch() > 0, "epochs start nonzero (cache empty-slot sentinel)");
-        let mut last = c.epoch();
-        let mut advanced = |c: &Chord, op: &str| {
-            assert!(c.epoch() > last, "{op} must bump the epoch");
-            last = c.epoch();
-        };
-        let boot = c.nodes_by_id()[0];
-        let j = c.join(boot).unwrap();
-        advanced(&c, "join");
-        c.stabilize(j).unwrap();
-        advanced(&c, "stabilize");
-        c.fix_fingers(j).unwrap();
-        advanced(&c, "fix_fingers");
-        c.leave(j).unwrap();
-        advanced(&c, "leave");
-        let v = c.nodes_by_id()[1];
-        c.fail(v).unwrap();
-        advanced(&c, "fail");
-        c.stabilize_all();
-        advanced(&c, "stabilize_all");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The `Parallel`/`Sequential` planner that used to live here as
 //! LORM-only inherent methods is now a capability of **every**
 //! [`ResourceDiscovery`](grid_resource::ResourceDiscovery) system
-//! (`query_planned` / `query_planned_cached` default methods), with a
+//! (the `query_planned` default method), with a
 //! third, selectivity-driven `Adaptive` plan on top. See
 //! [`grid_resource::planner`] for the plan semantics and
 //! [`grid_resource::selectivity`] for the per-attribute histograms the

@@ -3,15 +3,14 @@
 use crate::keys::{KeyDeriver, Placement};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
 use dht_core::{
-    BuildMode, Cached, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx, Overlay, Plain,
-    Probe, RepairStats, RouteCache, Walk, WalkEnd, WalkKey, WalkStep,
+    BuildMode, DhtError, FaultPlan, Faulty, LoadDist, LookupTally, NodeIdx, Overlay, Plain, Probe,
+    RepairStats, Walk,
 };
 use grid_resource::{
     AttributeSpace, Directory, FaultyOutcome, OutcomeBuilder, PieceKey, Query, QueryOutcome,
     ReplicaStore, ResourceDiscovery, ResourceInfo, SelectivityEstimator,
 };
 use rand::rngs::SmallRng;
-use std::ops::ControlFlow;
 
 /// Construction parameters for [`Lorm`].
 #[derive(Debug, Clone, Copy)]
@@ -217,12 +216,12 @@ impl Lorm {
     /// positions.
     fn range_walk(&self, lo_pos: u8, hi_pos: u8) -> ClusterWalk<'_> {
         let span = CycloidId::cw_cyclic_dist(lo_pos, hi_pos, self.overlay.dimension());
-        ClusterWalk { lorm: self, arc: Some((lo_pos, u64::from(span))) }
+        ClusterWalk { lorm: self, arc: Some((lo_pos, span)) }
     }
 
     /// The walk over every member of the start's cluster (ablation mode:
     /// a range query without locality-preserving placement cannot stop
-    /// early, so there is no stop rule and nothing worth caching).
+    /// early, so there is no stop rule).
     fn full_cluster_walk(&self) -> ClusterWalk<'_> {
         ClusterWalk { lorm: self, arc: None }
     }
@@ -271,7 +270,7 @@ impl Lorm {
             let sub_msg = probe.sub_msg(i);
             let (low, high) = sub.target.bounds();
             let resc_id = self.keys.resc_id(sub.attr, low);
-            let route = probe.lookup(&self.overlay, from, resc_id, 0, sub_msg);
+            let route = probe.lookup(&self.overlay, from, resc_id, sub_msg);
             let Some(route) = out.lookup(route)? else { continue };
             walk.clear();
             let truncated = match high {
@@ -304,14 +303,14 @@ impl Lorm {
 
 /// A walk along one Cycloid cluster's inside leaf set (see
 /// [`Lorm::range_walk`] and [`Lorm::full_cluster_walk`]). With an arc,
-/// each step carries the cyclic distance from `lo` of the first position
-/// the next member owns — the quantity the sector rule (`dist <= span`)
-/// tests.
+/// the walk advances to the next member while the cyclic distance from
+/// `lo` of the first position that member owns stays within `span` (the
+/// sector rule).
 struct ClusterWalk<'a> {
     lorm: &'a Lorm,
     /// `(lo position, span)` of the queried arc; `None` walks the whole
     /// cluster.
-    arc: Option<(u8, u64)>,
+    arc: Option<(u8, u8)>,
 }
 
 impl Walk for ClusterWalk<'_> {
@@ -319,32 +318,14 @@ impl Walk for ClusterWalk<'_> {
         usize::from(self.lorm.overlay.dimension())
     }
 
-    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> ControlFlow<WalkEnd, WalkStep> {
+    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> Option<NodeIdx> {
         let overlay = &self.lorm.overlay;
-        let next = match overlay.cluster_successor(cur).ok().flatten() {
-            Some(next) if next != start => next,
-            _ => return ControlFlow::Break(WalkEnd::Exhausted),
+        let next = overlay.cluster_successor(cur).ok().flatten().filter(|&next| next != start)?;
+        let Some((lo_pos, span)) = self.arc else {
+            return Some(next);
         };
-        let Some((lo_pos, _)) = self.arc else {
-            return ControlFlow::Continue(WalkStep { node: next, dist: 0 });
-        };
-        let Some(p) = self.lorm.transition_position(cur, next) else {
-            return ControlFlow::Break(WalkEnd::Exhausted);
-        };
-        let dist = u64::from(CycloidId::cw_cyclic_dist(lo_pos, p, overlay.dimension()));
-        if !self.admits(dist) {
-            return ControlFlow::Break(WalkEnd::Covered);
-        }
-        ControlFlow::Continue(WalkStep { node: next, dist })
-    }
-
-    fn admits(&self, dist: u64) -> bool {
-        self.arc.is_none_or(|(_, span)| dist <= span)
-    }
-
-    fn cache_key(&self) -> Option<WalkKey> {
-        let (lo_pos, span) = self.arc?;
-        Some(WalkKey { salt: 0, lo: u64::from(lo_pos), span, epoch: self.lorm.overlay.epoch() })
+        let p = self.lorm.transition_position(cur, next)?;
+        (CycloidId::cw_cyclic_dist(lo_pos, p, overlay.dimension()) <= span).then_some(next)
     }
 }
 
@@ -423,15 +404,6 @@ impl ResourceDiscovery for Lorm {
 
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
         Ok(self.query_with(phys, q, &mut Plain)?.outcome)
-    }
-
-    fn query_from_cached(
-        &self,
-        phys: usize,
-        q: &Query,
-        cache: &mut RouteCache,
-    ) -> Result<QueryOutcome, DhtError> {
-        Ok(self.query_with(phys, q, &mut Cached(cache))?.outcome)
     }
 
     fn query_from_faulty(
@@ -589,63 +561,6 @@ mod tests {
         );
         l.place_all(&w.reports);
         (w, l)
-    }
-
-    #[test]
-    fn cached_query_is_identical_to_plain() {
-        // Both placements: `Hashed` range queries take the (uncached)
-        // full-cluster walk, `Lph` the cached sector walk.
-        for placement in [Placement::Lph, Placement::Hashed] {
-            let (w, mut l) = small_workload_placed(placement);
-            let mut cache = RouteCache::new();
-            let mut rng = SmallRng::seed_from_u64(0xCA);
-            for mix in [QueryMix::NonRange, QueryMix::Range] {
-                for i in 0..60usize {
-                    let q = w.random_query(3, mix, &mut rng);
-                    let plain = l.query_from(i % 512, &q).unwrap();
-                    let cached = l.query_from_cached(i % 512, &q, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{placement:?} {mix:?} query {i}");
-                }
-            }
-            assert!(cache.hits() > 0, "repeated sub-query lookups must hit");
-            if placement == Placement::Hashed {
-                let walks = cache.walk_hits() + cache.walk_misses();
-                assert_eq!(walks, 0, "the full-cluster walk bypasses the cache");
-            }
-            // Churn bumps the epoch: every stale entry misses, and the
-            // cached path keeps matching the plain path on the mutated
-            // overlay.
-            l.leave_physical(7).unwrap();
-            l.stabilize();
-            l.place_all(&w.reports);
-            for i in 0..30usize {
-                let q = w.random_query(3, QueryMix::Range, &mut rng);
-                let plain = l.query_from(i % 500 + 8, &q).unwrap();
-                let cached = l.query_from_cached(i % 500 + 8, &q, &mut cache).unwrap();
-                assert_eq!(cached, plain, "{placement:?} post-churn query {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn cached_faulty_query_is_identical_to_plain_faulty() {
-        for placement in [Placement::Lph, Placement::Hashed] {
-            let (w, l) = small_workload_placed(placement);
-            let mut cache = RouteCache::new();
-            let mut rng = SmallRng::seed_from_u64(0xCB);
-            // Inert plans short-circuit through the cache; non-inert plans
-            // must bypass it (per-message coins are not cacheable).
-            for plan in
-                [FaultPlan::new(3, 0.0, 0.0).unwrap(), FaultPlan::new(7, 0.2, 0.05).unwrap()]
-            {
-                for i in 0..40u64 {
-                    let q = w.random_query(2, QueryMix::Range, &mut rng);
-                    let plain = l.query_from_faulty(2, &q, &plan, i).unwrap();
-                    let cached = l.query_from_faulty_cached(2, &q, &plan, i, &mut cache).unwrap();
-                    assert_eq!(cached, plain, "{placement:?} inert={} msg {i}", plan.is_inert());
-                }
-            }
-        }
     }
 
     /// Brute-force reference: owners whose reports satisfy the target.

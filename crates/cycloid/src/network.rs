@@ -67,13 +67,6 @@ pub struct Cycloid {
     live_sorted: Vec<NodeIdx>,
     live: usize,
     rng: SmallRng,
-    /// Mutation epoch: strictly increases on every write to routing state
-    /// (membership tables, cluster lists, per-node links). The route
-    /// cache stamps entries with it; see [`Overlay::epoch`]. Starts at 1
-    /// so the cache can use 0 as its empty-slot sentinel. A cache must
-    /// serve a single overlay instance — two clones that diverge after
-    /// copying the same epoch must not share one.
-    epoch: u64,
 }
 
 impl Cycloid {
@@ -90,17 +83,7 @@ impl Cycloid {
             live_sorted: Vec::new(),
             live: 0,
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0xCAB005E),
-            epoch: 1,
         }
-    }
-
-    /// Advance the mutation epoch. Every function that writes routing
-    /// state calls this (the `epoch-bump` lint enforces it); redundant
-    /// bumps along one public operation are harmless — only strict
-    /// increase matters.
-    #[inline]
-    fn bump_epoch(&mut self) {
-        self.epoch += 1;
     }
 
     /// Bulk-construct a fully repaired network of `n ≤ d·2^d` nodes on
@@ -150,7 +133,6 @@ impl Cycloid {
     /// `(cubical, cyclic, idx)` triples — O(n log n) total where per-slot
     /// `occupy` calls shift the sorted occupied list on every first member.
     fn bulk_occupy(&mut self, draw: &[usize]) {
-        self.bump_epoch();
         let d = self.cfg.dimension;
         self.nodes.reserve(draw.len());
         self.live_sorted.reserve(draw.len());
@@ -201,7 +183,6 @@ impl Cycloid {
     }
 
     fn occupy(&mut self, id: CycloidId) -> NodeIdx {
-        self.bump_epoch();
         let d = self.cfg.dimension;
         debug_assert!(self.slots[id.slot(d)].is_none());
         let idx = NodeIdx(self.nodes.len());
@@ -238,7 +219,6 @@ impl Cycloid {
     }
 
     fn vacate(&mut self, idx: NodeIdx) {
-        self.bump_epoch();
         let id = self.nodes[idx.0].id;
         let d = self.cfg.dimension;
         self.nodes[idx.0].alive = false;
@@ -425,7 +405,6 @@ impl Cycloid {
     /// Recompute one node's links from ground truth (the effect of that
     /// node running its own maintenance round).
     pub fn rebuild_links_of(&mut self, idx: NodeIdx) {
-        self.bump_epoch();
         let d = self.cfg.dimension;
         let id = self.nodes[idx.0].id;
         let members = self.cluster_members(id.cubical);
@@ -574,15 +553,6 @@ impl Overlay for Cycloid {
 
     fn len(&self) -> usize {
         self.live
-    }
-
-    fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    fn key_bits(&self, key: CycloidId) -> u64 {
-        // injective pack of the (cyclic, cubical) pair
-        (u64::from(key.cyclic) << 32) | u64::from(key.cubical)
     }
 
     fn live_nodes(&self) -> &[NodeIdx] {
@@ -881,29 +851,6 @@ mod tests {
             seen.dedup();
             assert_eq!(seen.len(), members.len(), "duplicate member in cluster {cub}");
         }
-    }
-
-    #[test]
-    fn mutating_ops_strictly_increase_epoch() {
-        let mut c = net(64, 5);
-        assert!(c.epoch() > 0, "epochs start nonzero (cache empty-slot sentinel)");
-        let mut last = c.epoch();
-        let mut advanced = |c: &Cycloid, op: &str| {
-            assert!(c.epoch() > last, "{op} must bump the epoch");
-            last = c.epoch();
-        };
-        let j = c.join_random().unwrap();
-        advanced(&c, "join_random");
-        c.leave(j).unwrap();
-        advanced(&c, "leave");
-        let v = c.live_nodes()[0];
-        c.fail(v).unwrap();
-        advanced(&c, "fail");
-        let m = c.live_nodes()[0];
-        c.rebuild_links_of(m);
-        advanced(&c, "rebuild_links_of");
-        c.rebuild_all_links();
-        advanced(&c, "rebuild_all_links");
     }
 
     #[test]

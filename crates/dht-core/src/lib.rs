@@ -21,12 +21,9 @@
 //!   in which every figure of the paper is measured.
 //! * **Overlay trait** ([`overlay`]): the narrow interface a DHT overlay
 //!   must implement to be driven by the experiment engine.
-//! * **Route cache** ([`cache`]): epoch-invalidated memoization of
-//!   routing results and range-walk segments over a static bed —
-//!   byte-identical to uncached routing by construction.
 //! * **Query probes** ([`probe`]): the one strategy through which every
-//!   system's query body routes and walks — plain, cached, or under a
-//!   fault plan — with each overlay's walk described once as a [`Walk`].
+//!   system's query body routes and walks — plain or under a fault plan —
+//!   with each overlay's walk described once as a [`Walk`].
 //!
 //! Everything here is deterministic: the same seed produces the same
 //! network, the same workload and the same measurements.
@@ -47,7 +44,7 @@ pub mod sampling;
 pub mod stats;
 pub mod trace;
 
-pub use cache::{route_stats_cached, RouteCache, WalkStep};
+pub use cache::RouteCache;
 pub use error::DhtError;
 pub use fault::{
     check_forward, probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,
@@ -56,7 +53,7 @@ pub use fault::{
 pub use hashing::{lex_hash, lex_prefix_end, ConsistentHash, LocalityHash};
 pub use latency::LatencyModel;
 pub use overlay::{BuildMode, NodeIdx, Overlay};
-pub use probe::{Cached, Faulty, Plain, Probe, Walk, WalkEnd, WalkKey};
+pub use probe::{Faulty, Plain, Probe, Walk};
 pub use replication::{replica_targets, RepairStats};
 pub use ring::{clockwise_dist, in_interval_co, in_interval_oc, in_interval_oo, ring_dist};
 pub use sampling::{BoundedPareto, SeedSpawner, Zipf};

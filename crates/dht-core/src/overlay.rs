@@ -65,24 +65,6 @@ pub trait Overlay {
         self.len() == 0
     }
 
-    /// Monotonic mutation counter. Every operation that changes routing
-    /// state — membership (join/leave/fail), link maintenance
-    /// (stabilize/fix-fingers/repair) or bulk rebuilds — strictly
-    /// increases the epoch, so two observations of the same epoch
-    /// guarantee the overlay routed identically in between. This is the
-    /// staleness bound the [`RouteCache`](crate::cache::RouteCache)
-    /// invalidates on: a cached entry stamped with an older epoch is a
-    /// miss by definition. Implementations start at a nonzero epoch
-    /// (construction itself mutates state), which lets the cache use
-    /// `epoch == 0` as its empty-slot sentinel.
-    fn epoch(&self) -> u64;
-
-    /// Fold a key into 64 bits for cache addressing. Must be injective
-    /// over the overlay's key space so distinct keys can never alias a
-    /// cache entry: the identity for Chord's `u64` ring positions, the
-    /// packed `(cyclic << 32) | cubical` pair for Cycloid.
-    fn key_bits(&self, key: Self::Key) -> u64;
-
     /// Arena indices of all live nodes, borrowed from the overlay's
     /// internal index (no allocation). The order is deterministic and
     /// overlay-specific (ring order for Chord, arena order for Cycloid).

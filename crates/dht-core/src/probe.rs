@@ -1,15 +1,12 @@
-//! One query path, three ways to run it.
+//! One query path, two ways to run it.
 //!
 //! Every discovery system resolves a multi-attribute query the same way:
 //! one DHT lookup per attribute, an optional directory walk from the
 //! lookup's terminal, then the requester-side join. What varies between
-//! a plain, a cached and a fault-injected run is only *how* a lookup
-//! routes and *how* a walk advances. A [`Probe`] captures exactly that:
+//! a fault-free and a fault-injected run is only *how* a lookup routes
+//! and *how* a walk advances. A [`Probe`] captures exactly that:
 //!
 //! * [`Plain`] routes with `route_stats` and walks every step;
-//! * [`Cached`] answers lookups and walks from a [`RouteCache`] — the
-//!   replay, two-touch admission and commit of cached walks live here
-//!   and nowhere else;
 //! * [`Faulty`] routes with bounded retry under a [`FaultPlan`] and sends
 //!   every walk step through [`probe_step`], accumulating a
 //!   [`FaultAccount`].
@@ -20,9 +17,6 @@
 //! are always statically dispatched, so each system's query body is
 //! monomorphized per probe with no indirection on the routing hot path.
 
-use core::ops::ControlFlow;
-
-use crate::cache::{route_stats_cached, RouteCache, WalkStep};
 use crate::error::DhtError;
 use crate::fault::{
     probe_step, route_with_retry, sub_msg_id, walk_msg_id, FaultAccount, FaultPlan,
@@ -30,90 +24,52 @@ use crate::fault::{
 use crate::overlay::{NodeIdx, Overlay};
 use crate::trace::RouteStats;
 
-/// Why a walk stopped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalkEnd {
-    /// The walk's stop rule fired: the queried arc is covered.
-    Covered,
-    /// The walk ran out of nodes for a span-independent reason (broken
-    /// pointer, full circle, no successor, probe budget).
-    Exhausted,
-    /// A fault cut the walk short before its stop rule fired.
-    Truncated,
-}
-
-/// Cache identity of a walk: the segment anchored at `lo` of width
-/// `span` on the overlay state stamped `epoch`, namespaced by `salt`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WalkKey {
-    /// Namespace of the overlay the walk runs on (e.g. a Mercury hub).
-    pub salt: u64,
-    /// The walk's anchor.
-    pub lo: u64,
-    /// The walk's span, in the units of [`WalkStep::dist`].
-    pub span: u64,
-    /// The overlay epoch the walk observes.
-    pub epoch: u64,
-}
-
 /// A directory walk over one overlay: how it steps from node to node and
-/// where its stop rule ends it. Caching and fault injection are the
-/// [`Probe`]'s business, never the walk's.
+/// where its stop rule ends it. Fault injection is the [`Probe`]'s
+/// business, never the walk's.
 pub trait Walk {
     /// Most advances the walk may take.
     fn budget(&self) -> usize;
 
-    /// The step after `cur` on a walk that began at `start`, or why the
-    /// walk ends at `cur`. A returned step's `dist` is the quantity the
-    /// stop rule tested to admit it.
-    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> ControlFlow<WalkEnd, WalkStep>;
-
-    /// Does the stop rule admit a step at distance `dist`? `advance`
-    /// applies it to live steps and the cache to replayed ones, so a
-    /// wider cached walk truncates to exactly this walk's emission.
-    fn admits(&self, dist: u64) -> bool;
-
-    /// The walk's cache identity, or `None` for a walk the cache does
-    /// not memoize (no stop rule worth replaying).
-    fn cache_key(&self) -> Option<WalkKey>;
+    /// The node after `cur` on a walk that began at `start`, or `None`
+    /// when the walk ends at `cur`: its stop rule fired or it ran out of
+    /// nodes (broken pointer, full circle, no successor).
+    fn advance(&self, start: NodeIdx, cur: NodeIdx) -> Option<NodeIdx>;
 }
 
 /// Run `walk` from `start`, appending every visited node (the start
 /// first) to `out`. `step_ok(step, next)` vets each advance (1-based);
-/// refusing one truncates the walk.
+/// refusing one truncates the walk, and `drive` then returns `true`.
 fn drive<W: Walk>(
     walk: &W,
     start: NodeIdx,
     out: &mut Vec<NodeIdx>,
-    mut step_ok: impl FnMut(usize, WalkStep) -> bool,
-) -> WalkEnd {
+    mut step_ok: impl FnMut(usize, NodeIdx) -> bool,
+) -> bool {
     out.push(start);
     let mut cur = start;
     for step in 0..walk.budget() {
-        match walk.advance(start, cur) {
-            ControlFlow::Continue(next) => {
-                if !step_ok(step + 1, next) {
-                    return WalkEnd::Truncated;
-                }
-                out.push(next.node);
-                cur = next.node;
-            }
-            ControlFlow::Break(end) => return end,
+        let Some(next) = walk.advance(start, cur) else {
+            return false;
+        };
+        if !step_ok(step + 1, next) {
+            return true;
         }
+        out.push(next);
+        cur = next;
     }
-    WalkEnd::Exhausted
+    false
 }
 
 /// How a query issues its lookups and walks. See the module docs.
 pub trait Probe {
-    /// Route one lookup of `key` from `from`. `salt` namespaces overlays
-    /// sharing one cache; `msg` is the lookup's fault-coin message id.
+    /// Route one lookup of `key` from `from`; `msg` is the lookup's
+    /// fault-coin message id.
     fn lookup<O: Overlay>(
         &mut self,
         overlay: &O,
         from: NodeIdx,
         key: O::Key,
-        salt: u64,
         msg: u64,
     ) -> Result<RouteStats, DhtError>;
 
@@ -141,7 +97,7 @@ pub trait Probe {
     }
 }
 
-/// Route and walk for real, fault-free and uncached.
+/// Route and walk for real, fault-free.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Plain;
 
@@ -151,7 +107,6 @@ impl Probe for Plain {
         overlay: &O,
         from: NodeIdx,
         key: O::Key,
-        _salt: u64,
         _msg: u64,
     ) -> Result<RouteStats, DhtError> {
         overlay.route_stats(from, key)
@@ -164,64 +119,7 @@ impl Probe for Plain {
         _msg: u64,
         out: &mut Vec<NodeIdx>,
     ) -> bool {
-        drive(walk, start, out, |_, _| true);
-        false
-    }
-}
-
-/// Answer lookups and walks from a [`RouteCache`] — byte-identical to
-/// [`Plain`] by construction.
-#[derive(Debug)]
-pub struct Cached<'a>(pub &'a mut RouteCache);
-
-impl Probe for Cached<'_> {
-    fn lookup<O: Overlay>(
-        &mut self,
-        overlay: &O,
-        from: NodeIdx,
-        key: O::Key,
-        salt: u64,
-        _msg: u64,
-    ) -> Result<RouteStats, DhtError> {
-        route_stats_cached(overlay, from, key, salt, self.0)
-    }
-
-    /// A fresh-epoch segment cached for at least this span replays
-    /// through the walk's own stop rule; otherwise the walk runs for real
-    /// and, once its key has been seen before (two-touch admission: a
-    /// never-repeating walk is not worth the per-step copy), its emission
-    /// is recorded. A walk that ended for a span-independent reason
-    /// emitted everything reachable from `start`, so it is stored with an
-    /// unbounded span and serves wider queries too.
-    fn walk<W: Walk>(
-        &mut self,
-        walk: &W,
-        start: NodeIdx,
-        _msg: u64,
-        out: &mut Vec<NodeIdx>,
-    ) -> bool {
-        let Some(key) = walk.cache_key() else {
-            return Plain.walk(walk, start, 0, out);
-        };
-        let cache = &mut *self.0;
-        if let Some(steps) = cache.walk_lookup(key.salt, start, key.lo, key.span, key.epoch) {
-            out.push(start);
-            out.extend(steps.iter().take_while(|s| walk.admits(s.dist)).map(|s| s.node));
-            return false;
-        }
-        let mut rec =
-            cache.admit_walk(key.salt, start, key.lo, key.epoch).then(|| cache.begin_walk());
-        let end = drive(walk, start, out, |_, step| {
-            if let Some(rec) = rec.as_mut() {
-                rec.push(step);
-            }
-            true
-        });
-        if let Some(rec) = rec {
-            let span = if end == WalkEnd::Covered { key.span } else { u64::MAX };
-            cache.commit_walk(key.salt, start, key.lo, span, key.epoch, rec);
-        }
-        false
+        drive(walk, start, out, |_, _| true)
     }
 }
 
@@ -250,7 +148,6 @@ impl Probe for Faulty<'_> {
         overlay: &O,
         from: NodeIdx,
         key: O::Key,
-        _salt: u64,
         msg: u64,
     ) -> Result<RouteStats, DhtError> {
         route_with_retry(overlay, from, key, self.plan, msg, &mut self.acct)
@@ -264,8 +161,7 @@ impl Probe for Faulty<'_> {
         out: &mut Vec<NodeIdx>,
     ) -> bool {
         let (plan, walk_msg, acct) = (self.plan, walk_msg_id(msg), &mut self.acct);
-        drive(walk, start, out, |step, next| probe_step(plan, walk_msg, step, next.node, acct))
-            == WalkEnd::Truncated
+        drive(walk, start, out, |step, next| probe_step(plan, walk_msg, step, next, acct))
     }
 
     fn hop_budget(&self) -> usize {

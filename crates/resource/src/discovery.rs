@@ -121,21 +121,14 @@ pub trait ResourceDiscovery {
     /// counting every hop and visited directory node.
     fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError>;
 
-    /// Resolve a query through a [`RouteCache`]: identical results to
-    /// [`Self::query_from`] — the cache memoizes routing over the current
-    /// overlay epoch, and every mutating op invalidates — with the
-    /// repeated O(log n) lookups of a static bed answered from memory.
-    ///
-    /// The default ignores the cache and delegates, which is always
-    /// correct; systems override it to route their sub-query lookups and
-    /// range walks through the cache.
+    /// [`Self::query_from`], ignoring the zero-sized [`RouteCache`]
+    /// placeholder. Kept for the benchmark adapter; not overridden.
     fn query_from_cached(
         &self,
         phys: usize,
         q: &Query,
-        cache: &mut RouteCache,
+        _cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        let _ = cache;
         self.query_from(phys, q)
     }
 
@@ -171,45 +164,29 @@ pub trait ResourceDiscovery {
         }
     }
 
-    /// The cached twin of [`Self::query_planned`]: sub-query lookups and
-    /// range walks flow through `cache` exactly as in
-    /// [`Self::query_from_cached`]. Identical results to the uncached
-    /// twin — plan ordering depends only on the (immutable during a
-    /// query) selectivity histograms, never on cache state.
+    /// [`Self::query_planned`], ignoring the zero-sized [`RouteCache`]
+    /// placeholder. Every fault-free query the batch executors run enters
+    /// here, so a proxy that overrides only this method sees them all.
     fn query_planned_cached(
         &self,
         phys: usize,
         q: &Query,
         plan: QueryPlan,
-        cache: &mut RouteCache,
+        _cache: &mut RouteCache,
     ) -> Result<QueryOutcome, DhtError> {
-        match plan {
-            QueryPlan::Parallel => self.query_from_cached(phys, q, cache),
-            QueryPlan::Sequential | QueryPlan::Adaptive => {
-                let order = planner::plan_order(q, plan, self.selectivity());
-                planner::resolve_in_order(q, &order, &mut |single| {
-                    self.query_from_cached(phys, single, cache)
-                })
-            }
-        }
+        self.query_planned(phys, q, plan)
     }
 
-    /// The cached twin of [`Self::query_from_faulty`]. Fault coins are
-    /// drawn per message, so a faulted route is *not* a pure function of
-    /// `(overlay, from, key)` — only the inert-plan fast path may consult
-    /// the cache; everything else takes the uncached faulty path. Both
-    /// branches are byte-identical to the uncached twin by construction.
+    /// [`Self::query_from_faulty`], ignoring the zero-sized [`RouteCache`]
+    /// placeholder. Kept for the benchmark adapter; not overridden.
     fn query_from_faulty_cached(
         &self,
         phys: usize,
         q: &Query,
         plan: &FaultPlan,
         msg_seed: u64,
-        cache: &mut RouteCache,
+        _cache: &mut RouteCache,
     ) -> Result<FaultyOutcome, DhtError> {
-        if plan.is_inert() {
-            return Ok(FaultyOutcome::complete(self.query_from_cached(phys, q, cache)?, q.arity()));
-        }
         self.query_from_faulty(phys, q, plan, msg_seed)
     }
 

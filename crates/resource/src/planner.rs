@@ -165,8 +165,7 @@ pub fn plan_order(q: &Query, plan: QueryPlan, sel: Option<&SelectivityEstimator>
 /// Resolve `q` one sub-query at a time in `order`, threading the
 /// surviving candidate set, with the tally semantics documented at the
 /// module level. `resolve` answers a single-sub query (a borrowed scratch
-/// query, rebuilt per step) — the trait layer binds it to `query_from`
-/// or `query_from_cached`.
+/// query, rebuilt per step) — the trait layer binds it to `query_from`.
 pub fn resolve_in_order(
     q: &Query,
     order: &[usize],

@@ -7,9 +7,7 @@
 //! "Analysis-SWORD/Mercury" (= MAAN ÷ 2, Theorem 4.8) derived from the
 //! measured MAAN.
 
-use crate::experiments::{
-    query_batch, run_batch_all_planned, summary_of, CachePool, Engine, Metric,
-};
+use crate::experiments::{query_batch, run_batch_all_planned, summary_of, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -52,22 +50,10 @@ pub fn fig4(
     origins: usize,
     per_origin: usize,
 ) -> Fig4 {
-    fig4_with_engine(bed, arities, origins, per_origin, Engine::Plain)
+    fig4_planned(bed, arities, origins, per_origin, QueryPlan::Parallel)
 }
 
-/// [`fig4`] on a chosen batch [`Engine`]; both engines produce the same
-/// figure bit-for-bit.
-pub fn fig4_with_engine(
-    bed: &TestBed,
-    arities: impl IntoIterator<Item = usize>,
-    origins: usize,
-    per_origin: usize,
-    engine: Engine,
-) -> Fig4 {
-    fig4_planned(bed, arities, origins, per_origin, engine, QueryPlan::Parallel)
-}
-
-/// [`fig4_with_engine`] under an explicit [`QueryPlan`]. The parallel plan
+/// [`fig4`] under an explicit [`QueryPlan`]. The parallel plan
 /// reproduces the paper's figure exactly; sequential/adaptive plans keep
 /// the answer sets but change hop counts (each sub-query after the first
 /// still pays its lookup walk, so the curve shifts, not the ordering).
@@ -76,17 +62,12 @@ pub fn fig4_planned(
     arities: impl IntoIterator<Item = usize>,
     origins: usize,
     per_origin: usize,
-    engine: Engine,
     plan: QueryPlan,
 ) -> Fig4 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
     let mut summaries: Vec<(&'static str, Summary)> =
         System::ALL.map(|s| (s.name(), Summary::new())).to_vec();
-    // Cache pools persist across the arity sweep: the systems are not
-    // mutated between rounds, so entries stay epoch-fresh and repeated
-    // (origin, attribute) lookups across arities hit.
-    let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -97,8 +78,7 @@ pub fn fig4_planned(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let pools = (engine == Engine::Cached).then_some(pools.as_mut_slice());
-        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan, pools);
+        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -194,17 +174,6 @@ mod tests {
         // totals = avg × count
         let r = &fig.rows[0];
         assert!((r.total[3] - r.avg[3] * r.queries as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cached_engine_reproduces_fig4_bit_for_bit() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let plain = fig4_with_engine(&bed, [1, 3], 10, 3, Engine::Plain);
-        let cached = fig4_with_engine(&bed, [1, 3], 10, 3, Engine::Cached);
-        assert_eq!(plain.rows, cached.rows);
-        assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
 
     #[test]

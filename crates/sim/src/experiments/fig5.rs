@@ -6,9 +6,7 @@
 //! `m(1 + n/4)` Mercury, `m(2 + n/4)` MAAN, `m(1 + d/4)` LORM, `m` SWORD
 //! (513m / 514m / 3m / m for the paper's parameters).
 
-use crate::experiments::{
-    query_batch, run_batch_all_planned, summary_of, CachePool, Engine, Metric,
-};
+use crate::experiments::{query_batch, run_batch_all_planned, summary_of, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -45,21 +43,10 @@ pub struct Fig5 {
 
 /// Run the Figure 5 experiment.
 pub fn fig5(bed: &TestBed, arities: impl IntoIterator<Item = usize>, queries: usize) -> Fig5 {
-    fig5_with_engine(bed, arities, queries, Engine::Plain)
+    fig5_planned(bed, arities, queries, QueryPlan::Parallel)
 }
 
-/// [`fig5`] on a chosen batch [`Engine`]; both engines produce the same
-/// figure bit-for-bit.
-pub fn fig5_with_engine(
-    bed: &TestBed,
-    arities: impl IntoIterator<Item = usize>,
-    queries: usize,
-    engine: Engine,
-) -> Fig5 {
-    fig5_planned(bed, arities, queries, engine, QueryPlan::Parallel)
-}
-
-/// [`fig5_with_engine`] under an explicit [`QueryPlan`]. The parallel plan
+/// [`fig5`] under an explicit [`QueryPlan`]. The parallel plan
 /// reproduces the paper's figure exactly; the adaptive plan visits at most
 /// as many nodes (empty intermediate candidate sets short-circuit the
 /// remaining sub-query walks).
@@ -67,16 +54,12 @@ pub fn fig5_planned(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
     queries: usize,
-    engine: Engine,
     plan: QueryPlan,
 ) -> Fig5 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
     let mut summaries: Vec<(&'static str, Summary)> =
         System::ALL.map(|s| (s.name(), Summary::new())).to_vec();
-    // Cache pools persist across the arity sweep (see `fig4_with_engine`):
-    // range walks anchored at the same segment heads recur across arities.
-    let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
     for arity in arities {
         let batch = query_batch(
             &bed.workload,
@@ -87,8 +70,7 @@ pub fn fig5_planned(
             QueryMix::Range,
             bed.seeds.seed() ^ 0xF500 ^ arity as u64,
         );
-        let pools = (engine == Engine::Cached).then_some(pools.as_mut_slice());
-        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Visited, plan, pools);
+        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Visited, plan);
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -181,17 +163,6 @@ mod tests {
                 mercury / r.arity as f64
             );
         }
-    }
-
-    #[test]
-    fn cached_engine_reproduces_fig5_bit_for_bit() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 8, values: 20, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let plain = fig5_with_engine(&bed, [1, 3], 25, Engine::Plain);
-        let cached = fig5_with_engine(&bed, [1, 3], 25, Engine::Cached);
-        assert_eq!(plain.rows, cached.rows);
-        assert_eq!(plain.report().to_json(), cached.report().to_json());
     }
 
     #[test]

@@ -16,12 +16,12 @@
 //! their local neighborhood immediately, as the protocols do.
 
 use crate::cache::BedCache;
-use crate::experiments::{scoped_map, Engine, Metric};
+use crate::experiments::{scoped_map, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
 use analysis::{self as th, System};
-use dht_core::{RouteCache, Summary};
+use dht_core::Summary;
 use grid_resource::{ChurnKind, ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -123,24 +123,6 @@ pub fn run_churn_one(
     metric: Metric,
     seed: u64,
 ) -> ChurnCell {
-    run_churn_one_with_engine(sys, workload, schedule, setup, metric, seed, Engine::Plain)
-}
-
-/// [`run_churn_one`] on a chosen batch [`Engine`]. Under
-/// [`Engine::Cached`] the run owns one persistent route cache; churn
-/// events bump the overlay epoch, so stale entries miss by construction
-/// and the cell is bit-identical to the plain run.
-#[allow(clippy::too_many_arguments)] // mirrors run_churn_one plus the engine
-pub fn run_churn_one_with_engine(
-    sys: &mut (dyn ResourceDiscovery + Send + Sync),
-    workload: &Workload,
-    schedule: &ChurnSchedule,
-    setup: &ChurnSetup,
-    metric: Metric,
-    seed: u64,
-    engine: Engine,
-) -> ChurnCell {
-    let mut route_cache = RouteCache::new();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mix = match metric {
         Metric::Hops => QueryMix::NonRange,
@@ -214,11 +196,7 @@ pub fn run_churn_one_with_engine(
             continue;
         };
         let q = workload.random_query(setup.arity, mix, &mut rng);
-        let answer = match engine {
-            Engine::Plain => sys.query_from(origin, &q),
-            Engine::Cached => sys.query_from_cached(origin, &q, &mut route_cache),
-        };
-        match answer {
+        match sys.query_from(origin, &q) {
             Ok(out) => {
                 stats.record(metric.of(&out.tally));
                 // Sample completeness against the ground-truth reports:
@@ -268,18 +246,6 @@ pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric) -> Fig6 {
 /// [`fig6`] against a caller-owned [`BedCache`], so repeated sweeps (both
 /// fig6 metrics, the perf kernels) share one set of prototypes.
 pub fn fig6_cached(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCache) -> Fig6 {
-    fig6_with_engine(cfg, setup, metric, cache, Engine::Plain)
-}
-
-/// [`fig6_cached`] on a chosen batch [`Engine`]; both engines produce the
-/// same figure bit-for-bit (see [`run_churn_one_with_engine`]).
-pub fn fig6_with_engine(
-    cfg: &SimConfig,
-    setup: &ChurnSetup,
-    metric: Metric,
-    cache: &BedCache,
-    engine: Engine,
-) -> Fig6 {
     let p = cfg.params();
     let wl_seed = cfg.seed ^ 0xF6;
     let workload = cache.churn_workload(cfg, wl_seed);
@@ -298,14 +264,13 @@ pub fn fig6_with_engine(
             // one per system). Later rates: a deep clone, byte-identical
             // to a fresh build.
             let mut sys = cache.churn_proto(s, cfg, wl_seed);
-            let cell = run_churn_one_with_engine(
+            let cell = run_churn_one(
                 sys.as_mut(),
                 &workload,
                 &schedule,
                 setup,
                 metric,
                 cfg.seed ^ 0xC6 ^ (rate * 100.0) as u64,
-                engine,
             );
             (s, cell)
         });
@@ -433,42 +398,6 @@ mod tests {
         assert_eq!(cell.failures, 0, "graceful churn must not fail queries");
         assert!(cell.avg > 1.0, "avg hops {}", cell.avg);
         assert!(cell.events > 0, "schedule should produce events");
-    }
-
-    #[test]
-    fn cached_engine_reproduces_churn_run_bit_for_bit() {
-        // Same system prototype, same schedule, Plain vs Cached: the
-        // persistent route cache rides through joins, graceful departures
-        // and failures on epoch invalidation alone.
-        let cfg = small_cfg();
-        let mut wl_rng = SmallRng::seed_from_u64(11);
-        let workload = Workload::generate(cfg.workload_config(), &mut wl_rng).unwrap();
-        let setup = ChurnSetup { requests: 200, graceful_ratio: 0.5, ..ChurnSetup::quick() };
-        let mut sched_rng = SmallRng::seed_from_u64(12);
-        let schedule = ChurnSchedule::generate_with_failures(0.4, 20.0, 0.5, &mut sched_rng);
-        for s in [System::Lorm, System::Mercury] {
-            let mut plain_sys = build_system(s, &workload, &cfg);
-            let plain = run_churn_one_with_engine(
-                plain_sys.as_mut(),
-                &workload,
-                &schedule,
-                &setup,
-                Metric::Visited,
-                13,
-                Engine::Plain,
-            );
-            let mut cached_sys = build_system(s, &workload, &cfg);
-            let cached = run_churn_one_with_engine(
-                cached_sys.as_mut(),
-                &workload,
-                &schedule,
-                &setup,
-                Metric::Visited,
-                13,
-                Engine::Cached,
-            );
-            assert_eq!(plain, cached, "{}", s.name());
-        }
     }
 
     #[test]

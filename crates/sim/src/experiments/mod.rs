@@ -16,9 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use analysis::System;
 use dht_core::{hashing::splitmix64, DhtError, FaultPlan, RouteCache, Summary};
-use grid_resource::{
-    FaultyOutcome, Query, QueryMix, QueryOutcome, QueryPlan, ResourceDiscovery, Workload,
-};
+use grid_resource::{FaultyOutcome, Query, QueryMix, QueryPlan, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,61 +92,11 @@ pub(crate) fn scoped_map<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R 
     slots.into_iter().flatten().collect()
 }
 
-/// Locality sort key of one batched query: the first sub-query's
-/// `(attribute, low value)` pair, then the origin. Queries sharing an
-/// attribute and nearby range anchors route to the same keys and walk
-/// overlapping segments, so executing a micro-chunk in this order turns
-/// the route cache's repeated-lookup hits into back-to-back hits and lets
-/// coalescing walk spans serve one another.
-fn locality_key(phys: usize, q: &Query) -> (u32, u64, usize) {
-    match q.subs.first() {
-        // Workload values are non-negative, so the bit pattern orders like
-        // the number; a heuristic sort needs nothing stronger.
-        Some(sub) => (sub.attr.0, sub.target.bounds().0.to_bits(), phys),
-        None => (u32::MAX, 0, phys),
-    }
-}
-
 /// The fault-coin seed of the query at global batch position `index`: a
 /// pure function of the plan seed and the position, so sharding can
 /// never change which faults a query draws.
 fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
     splitmix64(plan.seed() ^ index as u64)
-}
-
-/// Where an executor's route caches come from.
-enum Caches<'a> {
-    /// No cache: every query takes the uncached path.
-    Off,
-    /// The caller's cache when the batch runs inline; a fresh cache per
-    /// worker when it is sharded.
-    Caller(&'a mut RouteCache),
-    /// Worker `i` draws `pool[i]`; the pool grows to the worker count.
-    Pool(&'a mut CachePool),
-}
-
-/// What one query contributes to its chunk's summary.
-#[derive(Debug, Clone, Copy)]
-struct Observed {
-    /// The metric's value; `None` for a failed query.
-    value: Option<f64>,
-    /// A degraded (partially resolved) answer.
-    partial: bool,
-    retries: u64,
-    dropped_msgs: u64,
-}
-
-impl Observed {
-    const FAILED: Self = Self { value: None, partial: false, retries: 0, dropped_msgs: 0 };
-
-    fn of(f: &FaultyOutcome, metric: Metric) -> Self {
-        Self {
-            value: (!f.is_failed()).then(|| metric.of(&f.outcome.tally)),
-            partial: f.is_partial(),
-            retries: f.retries,
-            dropped_msgs: f.dropped_msgs,
-        }
-    }
 }
 
 /// One executor call's query semantics: the system, the reported metric,
@@ -166,102 +114,54 @@ impl Job<'_> {
     /// The one fan-out behind every executor. The batch splits into
     /// [`MICRO_CHUNK`]-sized chunks; at `shards <= 1` they run on the
     /// calling thread, otherwise each of `shards` scoped workers takes a
-    /// contiguous run of chunks with its own cache. The shard count
-    /// decides only *which thread* summarizes each chunk, never the
-    /// reduction order, and caches never alter results — so the summary
-    /// is bit-identical for every shard count and cache source.
-    fn fan_out(&self, batch: &[(usize, Query)], shards: usize, caches: Caches<'_>) -> Summary {
+    /// contiguous run of chunks. The shard count decides only *which
+    /// thread* summarizes each chunk, never the reduction order — so the
+    /// summary is bit-identical for every shard count.
+    fn fan_out(&self, batch: &[(usize, Query)], shards: usize) -> Summary {
         let micro: Vec<(usize, &[(usize, Query)])> =
             batch.chunks(MICRO_CHUNK).enumerate().map(|(i, c)| (i * MICRO_CHUNK, c)).collect();
         if shards <= 1 || micro.len() <= 1 {
-            let mut cache = match caches {
-                Caches::Off => None,
-                Caches::Caller(cache) => Some(cache),
-                Caches::Pool(pool) => {
-                    if pool.is_empty() {
-                        pool.push(RouteCache::new());
-                    }
-                    pool.first_mut()
-                }
-            };
-            return merge_in_order(
-                micro.iter().map(|&(base, c)| self.summarize(base, c, cache.as_deref_mut())),
-            );
+            return merge_in_order(micro.iter().map(|&(base, c)| self.summarize(base, c)));
         }
         let runs: Vec<_> = micro.chunks(micro.len().div_ceil(shards)).collect();
-        let fresh = matches!(caches, Caches::Caller(_));
-        let pooled: Vec<Option<&mut RouteCache>> = match caches {
-            Caches::Pool(pool) => {
-                while pool.len() < runs.len() {
-                    pool.push(RouteCache::new());
-                }
-                pool.iter_mut().map(Some).collect()
-            }
-            Caches::Off | Caches::Caller(_) => runs.iter().map(|_| None).collect(),
-        };
-        let parts = scoped_map(runs.into_iter().zip(pooled).collect(), |(run, pooled)| {
-            let mut local = fresh.then(RouteCache::new);
-            let mut cache = pooled.or(local.as_mut());
-            run.iter()
-                .map(|&(base, c)| self.summarize(base, c, cache.as_deref_mut()))
-                .collect::<Vec<_>>()
+        let parts = scoped_map(runs, |run| {
+            run.iter().map(|&(base, c)| self.summarize(base, c)).collect::<Vec<_>>()
         });
         merge_in_order(parts.into_iter().flatten())
     }
 
     /// Summarize one micro-chunk whose first query sits at batch position
-    /// `base`. With a cache the chunk executes in locality order, but
-    /// every query keeps its original position — for its fault seed and
-    /// in the fold — so the summary never observes the sort.
-    fn summarize(
-        &self,
-        base: usize,
-        chunk: &[(usize, Query)],
-        mut cache: Option<&mut RouteCache>,
-    ) -> Summary {
-        let mut order: Vec<usize> = (0..chunk.len()).collect();
-        if cache.is_some() {
-            order.sort_by_key(|&j| locality_key(chunk[j].0, &chunk[j].1));
-        }
-        let mut seen = vec![Observed::FAILED; chunk.len()];
-        for j in order {
-            let (phys, q) = &chunk[j];
-            seen[j] = match self.resolve_at(base + j, *phys, q, cache.as_deref_mut()) {
-                Ok(f) => Observed::of(&f, self.metric),
-                Err(_) => Observed::FAILED,
-            };
-        }
+    /// `base`.
+    fn summarize(&self, base: usize, chunk: &[(usize, Query)]) -> Summary {
         let mut s = Summary::new();
-        for o in seen {
-            match o.value {
-                None => s.record_failure(),
-                Some(v) if o.partial => s.record_partial(v),
-                Some(v) => s.record(v),
+        for (j, (phys, q)) in chunk.iter().enumerate() {
+            let Ok(f) = self.resolve_at(base + j, *phys, q) else {
+                s.record_failure();
+                continue;
+            };
+            let value = self.metric.of(&f.outcome.tally);
+            match (f.is_failed(), f.is_partial()) {
+                (true, _) => s.record_failure(),
+                (false, true) => s.record_partial(value),
+                (false, false) => s.record(value),
             }
-            s.add_retries(o.retries);
-            s.add_dropped_msgs(o.dropped_msgs);
+            s.add_retries(f.retries);
+            s.add_dropped_msgs(f.dropped_msgs);
         }
         s
     }
 
-    /// Resolve the query at batch position `index` through the system's
-    /// plain, cached, faulty or faulty-cached entry point.
-    fn resolve_at(
-        &self,
-        index: usize,
-        phys: usize,
-        q: &Query,
-        cache: Option<&mut RouteCache>,
-    ) -> Result<FaultyOutcome, DhtError> {
-        let (sys, plan) = (self.sys, self.plan);
-        let complete = |out: QueryOutcome| FaultyOutcome::complete(out, q.arity());
-        match (self.faults, cache) {
-            (None, None) => sys.query_planned(phys, q, plan).map(complete),
-            (None, Some(c)) => sys.query_planned_cached(phys, q, plan, c).map(complete),
-            (Some(f), None) => sys.query_from_faulty(phys, q, f, msg_seed_at(f, index)),
-            (Some(f), Some(c)) => {
-                sys.query_from_faulty_cached(phys, q, f, msg_seed_at(f, index), c)
-            }
+    /// Resolve the query at batch position `index`. Fault-free queries
+    /// enter through `query_planned_cached` (with the zero-sized
+    /// [`RouteCache`] placeholder), so a benchmark proxy that overrides
+    /// only that method sees every one of them.
+    fn resolve_at(&self, index: usize, phys: usize, q: &Query) -> Result<FaultyOutcome, DhtError> {
+        match self.faults {
+            None => self
+                .sys
+                .query_planned_cached(phys, q, self.plan, &mut RouteCache::new())
+                .map(|out| FaultyOutcome::complete(out, q.arity())),
+            Some(f) => self.sys.query_from_faulty(phys, q, f, msg_seed_at(f, index)),
         }
     }
 }
@@ -295,10 +195,10 @@ pub fn run_batch_sharded(
 }
 
 /// [`run_batch_sharded`] under an explicit [`QueryPlan`]: every query
-/// resolves through `query_planned`, so sequential/adaptive plans thread
-/// their candidate sets inside the same ordered micro-chunk reduction.
-/// Bit-identical across shard counts for every plan, and byte-identical
-/// to [`run_batch_sharded`] at [`QueryPlan::Parallel`].
+/// resolves through `query_planned_cached`, so sequential/adaptive plans
+/// thread their candidate sets inside the same ordered micro-chunk
+/// reduction. Bit-identical across shard counts for every plan, and
+/// byte-identical to [`run_batch_sharded`] at [`QueryPlan::Parallel`].
 pub fn run_batch_planned_sharded(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -306,60 +206,16 @@ pub fn run_batch_planned_sharded(
     plan: QueryPlan,
     shards: usize,
 ) -> Summary {
-    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Off)
+    Job { sys, metric, plan, faults: None }.fan_out(batch, shards)
 }
 
-/// [`run_batch_sharded`] through the epoch-invalidated route cache and the
-/// locality-ordered chunk executor — bit-identical summaries at every
-/// shard count, by construction.
-///
-/// At `shards <= 1` the caller's `cache` persists across the whole batch
-/// (the perf harness warms it and then measures its hit rate); at higher
-/// shard counts each worker runs its own fresh cache — caches never alter
-/// results, so the choice is invisible in the output.
-pub fn run_batch_cached_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    shards: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    run_batch_planned_cached_sharded(sys, batch, metric, QueryPlan::Parallel, shards, cache)
-}
-
-/// [`run_batch_cached_sharded`] under an explicit [`QueryPlan`]: the
-/// cached twin of [`run_batch_planned_sharded`]. Sequential/adaptive
-/// sub-query walks flow through the route cache one sub-query at a time,
-/// so repeated attribute anchors across the locality-sorted chunk stay
-/// memoized exactly as in the parallel path.
-pub fn run_batch_planned_cached_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    shards: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Caller(cache))
-}
-
-/// A per-system pool of worker route caches for the pooled executor
-/// (see [`run_batch_planned_cached_pooled`]): worker `i` always draws
-/// `pool[i]`, so a pool held across calls keeps each worker's cache warm
-/// for its stable slice of the batch stream.
+/// Per-worker [`RouteCache`] placeholders for
+/// [`run_batch_planned_cached_pooled`]. Kept for the benchmark adapter,
+/// which holds one pool per system and reads its first entry.
 pub type CachePool = Vec<RouteCache>;
 
-/// [`run_batch_planned_cached_sharded`], drawing per-worker caches from a
-/// caller-owned pool instead of building fresh ones per call. The pool
-/// grows to the worker count on first use; the figure pipelines hold one
-/// pool per system across their sweep loops, so later rounds replay
-/// routes and walks the earlier rounds recorded against the *same*
-/// (unmutated, equal-epoch) system. Caches never alter results, so the
-/// summaries stay bit-identical to every other executor.
-///
-/// Pools must never outlive their system's overlay state: two bed clones
-/// can share an epoch value while holding different links, which is why
-/// the churn pipeline (fig 6) builds a fresh cache per run instead.
+/// [`run_batch_planned_sharded`] for callers that hold a [`CachePool`]:
+/// the summary is the same, and the pool is left non-empty.
 pub fn run_batch_planned_cached_pooled(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -368,7 +224,10 @@ pub fn run_batch_planned_cached_pooled(
     shards: usize,
     pool: &mut CachePool,
 ) -> Summary {
-    Job { sys, metric, plan, faults: None }.fan_out(batch, shards, Caches::Pool(pool))
+    if pool.is_empty() {
+        pool.push(RouteCache::new());
+    }
+    run_batch_planned_sharded(sys, batch, metric, plan, shards)
 }
 
 /// [`run_batch`] under a fault plan, on [`default_shards`] workers.
@@ -394,37 +253,7 @@ pub fn run_batch_faulty_sharded(
     plan: &FaultPlan,
     shards: usize,
 ) -> Summary {
-    let faulty = Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) };
-    faulty.fan_out(batch, shards, Caches::Off)
-}
-
-/// [`run_batch_faulty_sharded`] through the route cache: bit-identical
-/// to the uncached run at every shard count, with the inert fraction of
-/// the batch served from cache (see
-/// [`ResourceDiscovery::query_from_faulty_cached`]).
-pub fn run_batch_faulty_cached_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    shards: usize,
-    cache: &mut RouteCache,
-) -> Summary {
-    let faulty = Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) };
-    faulty.fan_out(batch, shards, Caches::Caller(cache))
-}
-
-/// Which batch executor a figure pipeline runs on. Both engines produce
-/// bit-identical reports; [`Engine::Cached`] routes repeated lookups and
-/// overlapping range walks through the epoch-invalidated [`RouteCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Execute every query from scratch (the PR-7 behaviour).
-    #[default]
-    Plain,
-    /// Batched executor: locality-sorted micro-chunks over a per-worker
-    /// route cache, reduced in original order.
-    Cached,
+    Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) }.fan_out(batch, shards)
 }
 
 /// Run the same batch against every mounted system in parallel, one
@@ -432,30 +261,15 @@ pub enum Engine {
 /// each of which shards its batch further, for `systems × shards` total
 /// workers. The figure pipelines thread their `--plan=` override through
 /// here; plan choice never alters owner sets, only the cost tallies.
-///
-/// With `pools` (one per system, in `systems` order) every system runs
-/// the cached executor over its pool. The fig-4/fig-5 sweeps hold the
-/// pools across their arity loops — the systems are unmutated between
-/// rounds, so every cached entry stays epoch-fresh and later rounds hit
-/// on the walks earlier rounds recorded. Bit-identical to the uncached
-/// run by construction.
 pub fn run_batch_all_planned(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
     metric: Metric,
     plan: QueryPlan,
-    pools: Option<&mut [CachePool]>,
 ) -> Vec<(&'static str, Summary)> {
     let shards = default_shards();
-    let Some(pools) = pools else {
-        return scoped_map(systems.iter().collect(), |sys| {
-            (sys.name(), run_batch_planned_sharded(sys.as_ref(), batch, metric, plan, shards))
-        });
-    };
-    assert_eq!(systems.len(), pools.len(), "one cache pool per system");
-    scoped_map(systems.iter().zip(pools.iter_mut()).collect(), |(sys, pool)| {
-        let sys = sys.as_ref();
-        (sys.name(), run_batch_planned_cached_pooled(sys, batch, metric, plan, shards, pool))
+    scoped_map(systems.iter().collect(), |sys| {
+        (sys.name(), run_batch_planned_sharded(sys.as_ref(), batch, metric, plan, shards))
     })
 }
 
@@ -494,32 +308,24 @@ pub(crate) fn summary_of<'a>(rows: &'a [(&'static str, Summary)], s: System) -> 
 mod tests {
     use super::*;
     use crate::setup::{SimConfig, TestBed};
+    use grid_resource::{PieceKey, QueryOutcome, ResourceInfo};
 
     #[test]
     fn parallel_batch_equals_sequential_batch() {
         // run_batch_all_planned fans the systems out over threads (and each
         // system shards its batch); every summary must be bit-identical to
-        // a single-threaded, single-shard run — on either engine.
+        // a single-threaded, single-shard run.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
-        for cached in [false, true] {
-            let pools = cached.then_some(pools.as_mut_slice());
-            let parallel = run_batch_all_planned(
-                &bed.systems,
-                &batch,
-                Metric::Visited,
-                QueryPlan::Parallel,
-                pools,
-            );
-            assert_eq!(parallel.len(), bed.systems.len(), "cached={cached}");
-            for (name, par) in &parallel {
-                let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
-                let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-                assert_summaries_bit_identical(par, &seq, &format!("{name} cached={cached}"));
-            }
+        let parallel =
+            run_batch_all_planned(&bed.systems, &batch, Metric::Visited, QueryPlan::Parallel);
+        assert_eq!(parallel.len(), bed.systems.len());
+        for (name, par) in &parallel {
+            let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
+            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+            assert_summaries_bit_identical(par, &seq, name);
         }
     }
 
@@ -598,9 +404,9 @@ mod tests {
 
     #[test]
     fn cached_batch_is_bit_identical_to_plain_batch() {
-        // The batched executor sorts each micro-chunk and runs through the
-        // route cache; the summary must still be bit-identical to the plain
-        // executor, for both metrics and at shard counts 1 and 3.
+        // The pooled executor must summarize exactly like the plain one,
+        // for both metrics and at shard counts 1 and 3, with one pool held
+        // across calls.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
@@ -608,20 +414,9 @@ mod tests {
             let batch = query_batch(&bed.workload, cfg.nodes, 15, 4, 3, mix, seed);
             for sys in &bed.systems {
                 for shards in [1usize, 3] {
-                    // One pool per shard count, held warm across metrics.
                     let mut pool = CachePool::new();
                     for metric in [Metric::Hops, Metric::Visited] {
                         let plain = run_batch_sharded(sys.as_ref(), &batch, metric, shards);
-                        let mut cache = RouteCache::new();
-                        let cached = run_batch_cached_sharded(
-                            sys.as_ref(),
-                            &batch,
-                            metric,
-                            shards,
-                            &mut cache,
-                        );
-                        let ctx = format!("{} shards={shards} {metric:?} {mix:?}", sys.name());
-                        assert_summaries_bit_identical(&cached, &plain, &ctx);
                         let pooled = run_batch_planned_cached_pooled(
                             sys.as_ref(),
                             &batch,
@@ -630,7 +425,8 @@ mod tests {
                             shards,
                             &mut pool,
                         );
-                        assert_summaries_bit_identical(&pooled, &plain, &format!("{ctx} pooled"));
+                        let ctx = format!("{} shards={shards} {metric:?} {mix:?}", sys.name());
+                        assert_summaries_bit_identical(&pooled, &plain, &ctx);
                     }
                 }
             }
@@ -639,18 +435,27 @@ mod tests {
 
     #[test]
     fn cached_batch_is_bit_identical_after_churn() {
-        // Epoch invalidation, not cache clearing, is what keeps a persistent
-        // cache honest across topology changes: reuse one cache across a
-        // pre-churn and a post-churn batch and compare against plain runs.
+        // A pool held across a topology change carries no state into the
+        // post-churn batch: both batches match plain runs on the same bed.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let mut bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 12, 4, 2, QueryMix::Range, 0xC4B2);
-        let mut caches: Vec<RouteCache> = bed.systems.iter().map(|_| RouteCache::new()).collect();
-        for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
+        let mut pools: Vec<CachePool> = bed.systems.iter().map(|_| CachePool::new()).collect();
+        let pooled = |sys: &(dyn ResourceDiscovery + Send + Sync), pool: &mut CachePool| {
+            run_batch_planned_cached_pooled(
+                sys,
+                &batch,
+                Metric::Visited,
+                QueryPlan::Parallel,
+                1,
+                pool,
+            )
+        };
+        for (sys, pool) in bed.systems.iter().zip(pools.iter_mut()) {
             let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let cached = run_batch_cached_sharded(sys.as_ref(), &batch, Metric::Visited, 1, cache);
-            assert_summaries_bit_identical(&cached, &plain, &format!("{} pre-churn", sys.name()));
+            let got = pooled(sys.as_ref(), pool);
+            assert_summaries_bit_identical(&got, &plain, &format!("{} pre-churn", sys.name()));
         }
         for sys in bed.systems.iter_mut() {
             for phys in [5usize, 41, 99] {
@@ -659,46 +464,16 @@ mod tests {
             sys.stabilize();
             sys.place_all(&bed.workload.reports);
         }
-        for (sys, cache) in bed.systems.iter().zip(caches.iter_mut()) {
+        for (sys, pool) in bed.systems.iter().zip(pools.iter_mut()) {
             let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let cached = run_batch_cached_sharded(sys.as_ref(), &batch, Metric::Visited, 1, cache);
-            assert_summaries_bit_identical(&cached, &plain, &format!("{} post-churn", sys.name()));
-        }
-    }
-
-    #[test]
-    fn cached_faulty_batch_is_bit_identical_to_plain_faulty_batch() {
-        let cfg =
-            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
-        let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0xFCAB);
-        // An inert plan short-circuits through the cache; a lossy plan takes
-        // the uncached faulty path. Both must match the plain faulty run.
-        for (seed, loss, fail) in [(0xFA60u64, 0.0f64, 0.0f64), (0xFA61, 0.15, 0.05)] {
-            let plan = FaultPlan::new(seed, loss, fail).unwrap();
-            for sys in &bed.systems {
-                for shards in [1usize, 3] {
-                    let plain =
-                        run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
-                    let mut cache = RouteCache::new();
-                    let cached = run_batch_faulty_cached_sharded(
-                        sys.as_ref(),
-                        &batch,
-                        Metric::Hops,
-                        &plan,
-                        shards,
-                        &mut cache,
-                    );
-                    let ctx = format!("{} shards={shards} loss={loss}", sys.name());
-                    assert_summaries_bit_identical(&cached, &plain, &ctx);
-                }
-            }
+            let got = pooled(sys.as_ref(), pool);
+            assert_summaries_bit_identical(&got, &plain, &format!("{} post-churn", sys.name()));
         }
     }
 
     #[test]
     fn planned_batch_is_bit_identical_across_shards_and_caching() {
-        // Every plan × metric: sharding (1 vs 3) and the cached executor
+        // Every plan × metric: sharding (1 vs 3) and the pooled executor
         // must both be invisible in the summary bytes.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
@@ -712,22 +487,115 @@ mod tests {
                     let sharded = run_batch_planned_sharded(sys.as_ref(), &batch, metric, plan, 3);
                     assert_summaries_bit_identical(&sharded, &base, &ctx);
                     for shards in [1usize, 3] {
-                        let mut cache = RouteCache::new();
-                        let cached = run_batch_planned_cached_sharded(
+                        let pooled = run_batch_planned_cached_pooled(
                             sys.as_ref(),
                             &batch,
                             metric,
                             plan,
                             shards,
-                            &mut cache,
+                            &mut CachePool::new(),
                         );
-                        assert_summaries_bit_identical(
-                            &cached,
-                            &base,
-                            &format!("{ctx} cached shards={shards}"),
-                        );
+                        let ctx = format!("{ctx} pooled shards={shards}");
+                        assert_summaries_bit_identical(&pooled, &base, &ctx);
                     }
                 }
+            }
+        }
+    }
+
+    /// A minimal benchmark-style proxy: it delegates everything to a bed
+    /// system and counts the calls that reach `query_planned_cached`.
+    struct CountingProxy<'a> {
+        inner: &'a (dyn ResourceDiscovery + Send + Sync),
+        planned_cached: AtomicUsize,
+    }
+
+    impl ResourceDiscovery for CountingProxy<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn clone_box(&self) -> Box<dyn ResourceDiscovery + Send + Sync> {
+            self.inner.clone_box()
+        }
+        fn num_physical(&self) -> usize {
+            self.inner.num_physical()
+        }
+        fn is_live(&self, phys: usize) -> bool {
+            self.inner.is_live(phys)
+        }
+        fn place_all(&mut self, _reports: &[ResourceInfo]) {
+            unreachable!("the proxy is read-only")
+        }
+        fn register(&mut self, _info: ResourceInfo) -> Result<dht_core::LookupTally, DhtError> {
+            unreachable!("the proxy is read-only")
+        }
+        fn query_from(&self, phys: usize, q: &Query) -> Result<QueryOutcome, DhtError> {
+            self.inner.query_from(phys, q)
+        }
+        fn query_planned_cached(
+            &self,
+            phys: usize,
+            q: &Query,
+            plan: QueryPlan,
+            cache: &mut RouteCache,
+        ) -> Result<QueryOutcome, DhtError> {
+            self.planned_cached.fetch_add(1, Ordering::Relaxed);
+            self.inner.query_planned_cached(phys, q, plan, cache)
+        }
+        fn directory_loads(&self) -> dht_core::LoadDist {
+            self.inner.directory_loads()
+        }
+        fn total_pieces(&self) -> usize {
+            self.inner.total_pieces()
+        }
+        fn outlinks_per_node(&self) -> dht_core::LoadDist {
+            self.inner.outlinks_per_node()
+        }
+        fn join_physical(&mut self, _rng: &mut SmallRng) -> Result<usize, DhtError> {
+            unreachable!("the proxy is read-only")
+        }
+        fn leave_physical(&mut self, _phys: usize) -> Result<(), DhtError> {
+            unreachable!("the proxy is read-only")
+        }
+        fn fail_physical(&mut self, _phys: usize) -> Result<(), DhtError> {
+            unreachable!("the proxy is read-only")
+        }
+        fn stabilize(&mut self) {
+            unreachable!("the proxy is read-only")
+        }
+        fn surviving_pieces_into(&self, out: &mut Vec<PieceKey>) {
+            self.inner.surviving_pieces_into(out)
+        }
+    }
+
+    #[test]
+    fn pooled_executor_resolves_every_query_through_query_planned_cached() {
+        // The benchmark adapter's contract: its proxy overrides only
+        // `query_planned_cached`, reads the pool's first entry afterwards,
+        // and must see the same summary as the plain executor.
+        let cfg =
+            SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
+        let bed = TestBed::new(cfg);
+        let batch = query_batch(&bed.workload, cfg.nodes, 15, 10, 3, QueryMix::Range, 0xADA7);
+        for sys in &bed.systems {
+            for shards in [1usize, 3] {
+                let proxy = CountingProxy { inner: sys.as_ref(), planned_cached: 0.into() };
+                let mut pool = CachePool::new();
+                let plan = QueryPlan::Adaptive;
+                let got = run_batch_planned_cached_pooled(
+                    &proxy,
+                    &batch,
+                    Metric::Hops,
+                    plan,
+                    shards,
+                    &mut pool,
+                );
+                let ctx = format!("{} shards={shards}", sys.name());
+                assert_eq!(proxy.planned_cached.load(Ordering::Relaxed), batch.len(), "{ctx}");
+                assert!(!pool.is_empty(), "{ctx}: the adapter reads the pool's first entry");
+                let plain =
+                    run_batch_planned_sharded(sys.as_ref(), &batch, Metric::Hops, plan, shards);
+                assert_summaries_bit_identical(&got, &plain, &ctx);
             }
         }
     }

@@ -33,10 +33,7 @@ use crate::lints::FileCtx;
 pub const ENTRY_POINTS: &[(&str, &str)] = &[
     ("sim", "run_batch_sharded"),
     ("sim", "run_batch_faulty_sharded"),
-    ("sim", "run_batch_cached_sharded"),
-    ("sim", "run_batch_faulty_cached_sharded"),
     ("sim", "run_batch_planned_sharded"),
-    ("sim", "run_batch_planned_cached_sharded"),
     ("bench", "run_chaos"),
     ("bench", "run_chaos_cached"),
     ("bench", "run_scale"),

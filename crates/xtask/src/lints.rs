@@ -92,12 +92,6 @@ pub const LINTS: &[(&str, &str)] = &[
         "string-literal JSON keys emitted by a serializer (and its callees) must exactly match \
          the `docs/SCHEMAS.md` catalogue, both directions",
     ),
-    (
-        "epoch-bump",
-        "overlay-state mutation (finger/successor/cluster arenas, liveness flags) in a \
-         chord/cycloid function that never calls `bump_epoch` — the route cache invalidates on \
-         the epoch, so an unbumped write serves stale cached routes",
-    ),
     ("unused-suppression", "a lint:allow comment that suppressed nothing"),
     ("bad-suppression", "a malformed lint:allow comment (unknown lint or missing reason)"),
 ];
@@ -113,16 +107,13 @@ const SUPPRESSIBLE: &[&str] = &[
     "cast-truncation",
     "sentinel-guard",
     "schema-drift",
-    "epoch-bump",
 ];
 
 /// Lints whose workspace-mode findings are scoped by reachability: a
 /// finding stands only when its enclosing function is reachable from a
 /// sim entry point. `float-accumulate` stays purely lexical (merge-order
-/// bugs matter wherever the accumulator is later consumed), `epoch-bump`
-/// stays lexical too (a maintenance path only reachable from tests still
-/// corrupts any cache that outlives it), and the suppression meta-lints
-/// are structural.
+/// bugs matter wherever the accumulator is later consumed), and the
+/// suppression meta-lints are structural.
 pub const REACH_SCOPED: &[&str] = &[
     "hash-collections",
     "wall-clock",
@@ -246,7 +237,6 @@ pub fn raw_lints(ctx: &FileCtx, lexed: &Lexed, items: &ItemTree) -> Vec<Diagnost
     panic_hygiene(ctx, &lexed.toks, &lib_code, &mut raw);
     cast_truncation(ctx, &lexed.toks, &lib_code, &mut raw);
     sentinel_guard(ctx, &lexed.toks, items, &lib_code, &mut raw);
-    epoch_bump(ctx, &lexed.toks, items, &lib_code, &mut raw);
     raw
 }
 
@@ -795,145 +785,6 @@ fn sentinel_guard(
                     "`{}[..]` read in a function that never checks `NO_LINK`: arena slots hold \
                      the sentinel — guard the read, or annotate why every slot here is live",
                     t.text
-                ),
-            );
-        }
-    }
-}
-
-/// Crates whose overlay state feeds the epoch-invalidated route cache.
-const EPOCH_CRATES: &[&str] = &["chord", "cycloid"];
-
-/// Overlay-state fields whose mutation must be visible to the route
-/// cache: a cached `RouteStats` or walk segment is only valid while the
-/// links and liveness it traversed are unchanged.
-const EPOCH_TRACKED: &[&str] = &[
-    // chord: link arenas and liveness
-    "fingers",
-    "succs",
-    "succ_lens",
-    "preds",
-    "alive",
-    "sorted",
-    // cycloid: node/cluster arenas and liveness
-    "nodes",
-    "slots",
-    "occupied",
-    "cluster_slots",
-    "cluster_lens",
-    "live_sorted",
-];
-
-/// Method names that mutate a `Vec`/slice receiver in place.
-const EPOCH_MUTATORS: &[&str] = &[
-    "push",
-    "pop",
-    "clear",
-    "resize",
-    "truncate",
-    "insert",
-    "remove",
-    "copy_from_slice",
-    "copy_within",
-    "fill",
-    "swap",
-    "sort",
-    "sort_unstable",
-    "retain",
-    "extend",
-    "extend_from_slice",
-    "swap_remove",
-];
-
-/// Lint 10 — epoch hygiene: a tracked overlay-state field mutated
-/// (`self.f = ...`, `self.f[..] = ...`, `&mut self.f`, or an in-place
-/// mutator call) in a chord/cycloid library function whose body never
-/// calls `bump_epoch`. The route cache treats an unchanged epoch as
-/// proof the overlay is unchanged, so an unbumped write is a silent
-/// stale-cache bug even though every uncached result stays correct.
-/// Lexical, not reachability-scoped: maintenance paths only exercised
-/// by tests still corrupt any cache that outlives them.
-fn epoch_bump(
-    ctx: &FileCtx,
-    toks: &[Tok],
-    items: &ItemTree,
-    lib_code: &dyn Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
-    if !EPOCH_CRATES.contains(&ctx.crate_dir.as_str()) {
-        return;
-    }
-    for i in 0..toks.len() {
-        // Anchor on `self . <tracked>`.
-        if !toks[i].is_ident("self")
-            || i + 2 >= toks.len()
-            || !toks[i + 1].is_punct('.')
-            || toks[i + 2].kind != TokKind::Ident
-            || !EPOCH_TRACKED.contains(&toks[i + 2].text.as_str())
-            || !lib_code(i)
-        {
-            continue;
-        }
-        let field = &toks[i + 2];
-        let f = i + 2;
-        // `&mut self.f` — handing out a mutable borrow counts as a write.
-        let lent_mut = i >= 2 && toks[i - 1].is_ident("mut") && toks[i - 2].is_punct('&');
-        // A lone `=` at `j`: assignment, not `==` comparison and not a
-        // match arm's `=>` (both lex as two single-char puncts).
-        let lone_eq = |j: usize| {
-            toks.get(j).is_some_and(|t| t.is_punct('='))
-                && !toks.get(j + 1).is_some_and(|t| t.is_punct('=') || t.is_punct('>'))
-        };
-        // `self.f = v`.
-        let assigned = lone_eq(f + 1);
-        // `self.f[...] = v` — find the matching `]`, then a lone `=`.
-        let indexed_store = toks.get(f + 1).is_some_and(|t| t.is_punct('[')) && {
-            let mut depth = 0i32;
-            let mut j = f + 1;
-            while j < toks.len() {
-                if toks[j].is_punct('[') {
-                    depth += 1;
-                } else if toks[j].is_punct(']') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                j += 1;
-            }
-            lone_eq(j + 1)
-        };
-        // `self.f.push(...)` and friends.
-        let mutator_call = toks.get(f + 1).is_some_and(|t| t.is_punct('.'))
-            && toks.get(f + 2).is_some_and(|t| {
-                t.kind == TokKind::Ident && EPOCH_MUTATORS.contains(&t.text.as_str())
-            })
-            && toks.get(f + 3).is_some_and(|t| t.is_punct('('));
-        if !(lent_mut || assigned || indexed_store || mutator_call) {
-            continue;
-        }
-        // The enclosing fn must call bump_epoch somewhere in its span.
-        let encl = items
-            .fns
-            .iter()
-            .filter(|fun| fun.body.is_some_and(|(s, e)| s <= i && i < e))
-            .min_by_key(|fun| fun.body.map_or(usize::MAX, |(s, e)| e - s));
-        let bumped = encl.is_some_and(|fun| {
-            let (_, end) = fun.body.unwrap();
-            toks[fun.sig_start..end.min(toks.len())].iter().any(|t| t.is_ident("bump_epoch"))
-        });
-        if !bumped {
-            push(
-                out,
-                ctx,
-                "epoch-bump",
-                field.line,
-                format!(
-                    "`self.{}` is mutated in a function that never calls `bump_epoch`: the \
-                     route cache invalidates on the overlay epoch, so this write would serve \
-                     stale cached routes — bump the epoch, or annotate why the overlay is \
-                     observationally unchanged",
-                    field.text
                 ),
             );
         }

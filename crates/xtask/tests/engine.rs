@@ -99,48 +99,6 @@ fn bed_rebuild_exempt_in_blessed_construction_modules() {
     assert!(!r.diagnostics.iter().any(|d| d.lint == "bed-rebuild"), "{:?}", r.diagnostics);
 }
 
-/// Run a fixture as if it were chord overlay library code (the
-/// epoch-bump lint only applies to the overlay crates).
-fn run_overlay(name: &str) -> FileReport {
-    let ctx = FileCtx {
-        crate_dir: "chord".into(),
-        class: FileClass::Lib,
-        rel_path: format!("crates/chord/src/{name}"),
-    };
-    lint_file(&ctx, &fixture(name))
-}
-
-#[test]
-fn epoch_bump_fires_on_each_unbumped_mutation_shape() {
-    let r = run_overlay("epoch_violate.rs");
-    assert_eq!(lint_names(&r), vec!["epoch-bump"; 4], "{:?}", r.diagnostics);
-    // One finding per mutation shape: assignment, indexed store,
-    // mutator call, `&mut` borrow — in source order.
-    let fields: Vec<&str> = r
-        .diagnostics
-        .iter()
-        .map(|d| {
-            let start = d.message.find("self.").expect("field in message") + 5;
-            let rest = &d.message[start..];
-            &rest[..rest.find('`').expect("closing tick")]
-        })
-        .collect();
-    assert_eq!(fields, ["sorted", "fingers", "alive", "succs"], "{:?}", r.diagnostics);
-}
-
-#[test]
-fn epoch_bump_quiet_on_bumped_writes_and_reads() {
-    let r = run_overlay("epoch_clean.rs");
-    assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
-}
-
-#[test]
-fn epoch_bump_exempt_outside_overlay_crates() {
-    // The same writes in a non-overlay sim crate track no epoch.
-    let r = run("epoch_violate.rs");
-    assert!(!r.diagnostics.iter().any(|d| d.lint == "epoch-bump"), "{:?}", r.diagnostics);
-}
-
 #[test]
 fn reasoned_suppressions_silence_findings() {
     let r = run("suppress_ok.rs");
@@ -306,8 +264,8 @@ fn workspace_is_lint_clean() {
     let json = render_json(&report);
     assert!(json.contains("\"schema\": \"lorm-repro/lint-v1\""));
     assert!(json.contains("\"clean\": true"));
-    // lint-v2: all eleven entry points resolve and the graph is non-trivial.
-    assert_eq!(report.entry_points.len(), 11, "{:?}", report.entry_points);
+    // lint-v2: all eight entry points resolve and the graph is non-trivial.
+    assert_eq!(report.entry_points.len(), 8, "{:?}", report.entry_points);
     assert!(
         report.reachable_functions > 0 && report.reachable_functions < report.functions_indexed,
         "reachable {} of {}",

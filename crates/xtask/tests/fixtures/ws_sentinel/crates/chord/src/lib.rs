@@ -23,10 +23,7 @@ impl Ring {
         self.fingers[i]
     }
 
-    pub fn bump_epoch(&mut self) {}
-
     pub fn store(&mut self, i: usize, v: u32) {
         self.fingers[i] = v;
-        self.bump_epoch();
     }
 }
