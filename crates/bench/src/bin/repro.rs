@@ -1,7 +1,7 @@
 //! Regenerate the paper's tables and figures. See `bench` crate docs.
 #![allow(clippy::print_stdout)] // terminal output is this binary's UI
 
-use bench::{parse_args, render_json, run_artifact_report_cached, ArtifactRun};
+use bench::{parse_args, render_json, run_artifact_report, ArtifactRun};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -62,7 +62,6 @@ fn main() {
             std::process::exit(2);
         }
     };
-    sim::experiments::set_default_shards(cfg.shards);
     if cfg.perf {
         println!(
             "# LORM perf baseline — {} mode (seed {})\n",
@@ -168,7 +167,7 @@ fn main() {
             if cfg.quick { "quick" } else { "full (paper §V)" },
             cfg.seed
         );
-        let d = bench::durability::run_durability(&cfg);
+        let d = bench::durability::run_durability(&cfg, &sim::BedCache::new());
         println!("{d}");
         if let Some(path) = &cfg.json {
             let json = bench::durability::render_durability_json(&cfg, &d);
@@ -203,7 +202,7 @@ fn main() {
             if cfg.quick { "quick" } else { "full (paper §V)" },
             cfg.seed
         );
-        let c = bench::chaos::run_chaos(&cfg);
+        let c = bench::chaos::run_chaos(&cfg, &sim::BedCache::new());
         println!("{c}");
         if let Some(path) = &cfg.json {
             let json = bench::chaos::render_chaos_json(&cfg, &c);
@@ -227,7 +226,7 @@ fn main() {
     let mut runs: Vec<ArtifactRun> = Vec::with_capacity(artifacts.len());
     for a in artifacts {
         let started = std::time::Instant::now();
-        let report = run_artifact_report_cached(a, &cfg, &cache);
+        let report = run_artifact_report(a, &cfg, &cache);
         let elapsed = started.elapsed();
         println!("{report}");
         println!("(elapsed: {elapsed:.1?})\n");

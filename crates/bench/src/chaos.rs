@@ -13,19 +13,15 @@ use crate::ReproConfig;
 use sim::experiments::chaos::{chaos, Chaos, ChaosSetup};
 use sim::BedCache;
 
-/// Run the chaos sweep at the configuration's scale.
-pub fn run_chaos(cfg: &ReproConfig) -> Chaos {
-    run_chaos_cached(cfg, &BedCache::new())
-}
-
-/// Run the chaos sweep against a shared bed cache: the sweep itself
+/// Run the chaos sweep at the configuration's scale, on `cfg.shards`
+/// workers per batch, against a shared bed cache: the sweep itself
 /// already reuses one bed across every (loss × fail) cell, so the cache's
 /// contribution is sharing that bed with any other pipeline in the same
 /// invocation (e.g. the perf harness's figure kernels).
-pub fn run_chaos_cached(cfg: &ReproConfig, cache: &BedCache) -> Chaos {
+pub fn run_chaos(cfg: &ReproConfig, cache: &BedCache) -> Chaos {
     let setup = if cfg.quick { ChaosSetup::quick() } else { ChaosSetup::default() };
     let bed = cache.bed(cfg.sim());
-    chaos(&bed, setup)
+    chaos(&bed, setup, cfg.shards)
 }
 
 /// Serialize a chaos sweep against the stable `lorm-repro/chaos-v1`
@@ -102,7 +98,8 @@ mod tests {
             arity: 2,
             ..ChaosSetup::default()
         };
-        (cfg, chaos(&bed, setup))
+        let c = chaos(&bed, setup, cfg.shards);
+        (cfg, c)
     }
 
     #[test]

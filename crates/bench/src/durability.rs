@@ -14,21 +14,16 @@
 //!   forms within the stated tolerance bands.
 
 use crate::ReproConfig;
-use sim::experiments::durability::{durability_cached, Durability, DurabilitySetup};
+use sim::experiments::durability::{durability, Durability, DurabilitySetup};
 use sim::BedCache;
 
-/// Run the durability sweep at the configuration's scale.
-pub fn run_durability(cfg: &ReproConfig) -> Durability {
-    run_durability_cached(cfg, &BedCache::new())
-}
-
-/// Run the durability sweep against a shared bed cache: every (rate,
-/// degree, system) cell clones one cached prototype per system, so the
-/// sweep pays construction once per system total.
-pub fn run_durability_cached(cfg: &ReproConfig, cache: &BedCache) -> Durability {
-    let mut setup = if cfg.quick { DurabilitySetup::quick() } else { DurabilitySetup::default() };
-    setup.shards = cfg.shards;
-    durability_cached(&cfg.sim(), &setup, cache)
+/// Run the durability sweep at the configuration's scale, probing on
+/// `cfg.shards` workers, against a shared bed cache: every (rate, degree,
+/// system) cell clones one cached prototype per system, so the sweep pays
+/// construction once per system total.
+pub fn run_durability(cfg: &ReproConfig, cache: &BedCache) -> Durability {
+    let setup = if cfg.quick { DurabilitySetup::quick() } else { DurabilitySetup::default() };
+    durability(&cfg.sim(), &setup, cache, cfg.shards)
 }
 
 /// Serialize a durability sweep against the stable
@@ -113,11 +108,12 @@ pub fn render_durability_json(cfg: &ReproConfig, d: &Durability) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sim::experiments::durability::durability;
+    use crate::parse_args;
     use sim::SimConfig;
 
-    fn tiny_durability() -> (ReproConfig, Durability) {
-        let cfg = ReproConfig { quick: true, seed: 7, durability: true, ..ReproConfig::default() };
+    /// A scaled-down sweep driven by `cfg`'s shard count, as
+    /// [`run_durability`] drives the quick/full ones.
+    fn tiny_sweep(cfg: &ReproConfig) -> Durability {
         let sim_cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let setup = DurabilitySetup {
@@ -128,7 +124,34 @@ mod tests {
             probe_per_origin: 2,
             ..DurabilitySetup::quick()
         };
-        (cfg, durability(&sim_cfg, &setup))
+        durability(&sim_cfg, &setup, &BedCache::new(), cfg.shards)
+    }
+
+    fn tiny_durability() -> (ReproConfig, Durability) {
+        let cfg = ReproConfig { quick: true, seed: 7, durability: true, ..ReproConfig::default() };
+        let d = tiny_sweep(&cfg);
+        (cfg, d)
+    }
+
+    #[test]
+    fn parsed_shards_reach_the_durability_sweep_unchanged() {
+        // `--shards` is the sweep's one shard source: absent and `0` both
+        // mean one worker per core, `config.shards` echoes the flag, and
+        // no count changes any other byte of the export.
+        let mut first: Option<String> = None;
+        for (flag, want) in
+            [(None, 0), (Some("--shards=0"), 0), (Some("--shards=1"), 1), (Some("--shards=3"), 3)]
+        {
+            let args = ["--quick", "--seed=7", "durability"].into_iter().chain(flag);
+            let (cfg, _) = parse_args(args.map(String::from)).unwrap();
+            assert!(cfg.durability, "{flag:?}");
+            assert_eq!(cfg.shards, want, "{flag:?}");
+            let j = render_durability_json(&cfg, &tiny_sweep(&cfg));
+            let key = format!("\"shards\":{want},");
+            assert!(j.contains(&key), "{flag:?}: {j}");
+            let rest = j.replacen(&key, "", 1);
+            assert_eq!(first.get_or_insert_with(|| rest.clone()), &rest, "{flag:?}");
+        }
     }
 
     #[test]

@@ -141,7 +141,9 @@ pub struct ReproConfig {
     pub quick: bool,
     /// Root seed.
     pub seed: u64,
-    /// Worker threads per query batch (0 = auto-detect).
+    /// Worker threads per query batch (0 = one per core). The one shard
+    /// source of every pipeline: `repro` passes it by value to the
+    /// figures, chaos, durability and the perf kernels.
     pub shards: usize,
     /// Write the machine-readable metrics export here.
     pub json: Option<PathBuf>,
@@ -210,19 +212,12 @@ impl ReproConfig {
     }
 }
 
-/// Run one artifact and build its structured report, with a transient
-/// bed cache (single-artifact callers). Batch callers — the `repro` main
-/// loop, the perf pipelines — use [`run_artifact_report_cached`] so one
-/// stabilized bed serves every artifact with the same configuration.
-pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig) -> Report {
-    run_artifact_report_cached(a, cfg, &BedCache::new())
-}
-
-/// Run one artifact against a caller-owned [`BedCache`]: every artifact
-/// that mounts the standard test bed shares one `Arc` build per distinct
-/// configuration, and the churn sweeps clone cached prototypes instead of
-/// rebuilding per (rate, system) cell.
-pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> Report {
+/// Run one artifact and build its structured report against a
+/// caller-owned [`BedCache`]: every artifact that mounts the standard
+/// test bed shares one `Arc` build per distinct configuration, and the
+/// churn sweeps clone cached prototypes instead of rebuilding per (rate,
+/// system) cell. Query batches run on `cfg.shards` workers.
+pub fn run_artifact_report(a: Artifact, cfg: &ReproConfig, cache: &BedCache) -> Report {
     let sim_cfg = cfg.sim();
     match a {
         Artifact::Fig3a => fig3::fig3a(&cfg.fig3a_dims(), sim_cfg.attrs, cfg.seed).report(),
@@ -234,23 +229,19 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             let bed = cache.bed(sim_cfg);
             // paper: 100 nodes × 10 queries each
             let (origins, per) = if cfg.quick { (20, 5) } else { (100, 10) };
-            fig4::fig4_planned(&bed, 1..=10, origins, per, cfg.plan).report()
+            fig4::fig4(&bed, 1..=10, origins, per, cfg.plan, cfg.shards).report()
         }
         Artifact::Fig5 => {
             let bed = cache.bed(sim_cfg);
-            fig5::fig5_planned(&bed, 1..=10, cfg.queries(), cfg.plan).report()
+            fig5::fig5(&bed, 1..=10, cfg.queries(), cfg.plan, cfg.shards).report()
         }
         Artifact::Fig6a => {
-            fig6::fig6_cached(&sim_cfg, &cfg.churn_setup(), sim::experiments::Metric::Hops, cache)
+            fig6::fig6(&sim_cfg, &cfg.churn_setup(), sim::experiments::Metric::Hops, cache).report()
+        }
+        Artifact::Fig6b => {
+            fig6::fig6(&sim_cfg, &cfg.churn_setup(), sim::experiments::Metric::Visited, cache)
                 .report()
         }
-        Artifact::Fig6b => fig6::fig6_cached(
-            &sim_cfg,
-            &cfg.churn_setup(),
-            sim::experiments::Metric::Visited,
-            cache,
-        )
-        .report(),
         Artifact::T410 => {
             let bed = cache.bed(sim_cfg);
             let queries = if cfg.quick { 5 } else { 20 };
@@ -261,8 +252,7 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             // are actually observable as stale answers
             let setup = fig6::ChurnSetup { graceful: false, ..cfg.churn_setup() };
             let mut rep =
-                fig6::fig6_cached(&sim_cfg, &setup, sim::experiments::Metric::Visited, cache)
-                    .report();
+                fig6::fig6(&sim_cfg, &setup, sim::experiments::Metric::Visited, cache).report();
             rep.note(
                 "(extension: departures are abrupt failures; stale links and lost \
                  directory entries persist until the next maintenance round)",
@@ -310,11 +300,6 @@ pub fn run_artifact_report_cached(a: Artifact, cfg: &ReproConfig, cache: &BedCac
             rep
         }
     }
-}
-
-/// Run one artifact and render its report as text.
-pub fn run_artifact(a: Artifact, cfg: &ReproConfig) -> String {
-    run_artifact_report(a, cfg).to_string()
 }
 
 /// The ten theorems' closed forms at the given parameters — the paper's
@@ -538,7 +523,7 @@ mod tests {
     #[test]
     fn quick_t410_renders_table() {
         let cfg = ReproConfig { quick: true, seed: 7, ..ReproConfig::default() };
-        let out = run_artifact(Artifact::T410, &cfg);
+        let out = run_artifact_report(Artifact::T410, &cfg, &BedCache::new()).to_string();
         assert!(out.contains("Theorem 4.10"), "got: {out}");
         assert!(out.contains("LORM"));
     }
@@ -548,8 +533,9 @@ mod tests {
         // The full-scale run is recorded in EXPERIMENTS.md; this guards
         // that every artifact stays runnable. Quick mode, tiny batches.
         let cfg = ReproConfig { quick: true, seed: 3, ..ReproConfig::default() };
+        let cache = BedCache::new();
         for a in Artifact::ALL {
-            let rep = run_artifact_report(a, &cfg);
+            let rep = run_artifact_report(a, &cfg, &cache);
             let out = rep.to_string();
             assert!(out.contains('|'), "{a:?} produced no table:\n{out}");
             assert!(out.contains("##"), "{a:?} produced no title");
@@ -652,10 +638,12 @@ mod tests {
             plan: QueryPlan::Adaptive,
             ..ReproConfig::default()
         };
-        let adaptive = run_artifact_report(Artifact::Fig5, &cfg);
+        let cache = BedCache::new();
+        let adaptive = run_artifact_report(Artifact::Fig5, &cfg, &cache);
         let parallel = run_artifact_report(
             Artifact::Fig5,
             &ReproConfig { plan: QueryPlan::Parallel, ..cfg.clone() },
+            &cache,
         );
         // adaptive short-circuits, so total visited nodes can only shrink
         let visited = |rep: &Report| rep.summaries().iter().map(|(_, s)| s.total()).sum::<f64>();
@@ -689,7 +677,7 @@ mod tests {
             },
             ArtifactRun {
                 artifact: Artifact::T410,
-                report: run_artifact_report(Artifact::T410, &cfg),
+                report: run_artifact_report(Artifact::T410, &cfg, &BedCache::new()),
                 elapsed_ms: 20.0,
             },
         ];

@@ -17,7 +17,7 @@
 //! library forbids `unsafe`, so the binary passes the counter in as a
 //! plain function pointer.
 
-use crate::{run_artifact_report_cached, Artifact, ReproConfig};
+use crate::{run_artifact_report, Artifact, ReproConfig};
 use analysis::System;
 use chord::{Chord, ChordConfig};
 use cycloid::{Cycloid, CycloidConfig, CycloidId};
@@ -334,15 +334,13 @@ pub fn run_perf(cfg: &ReproConfig, counter: Option<AllocCounter>) -> Vec<PerfKer
     ] {
         kernels.push(time_kernel(name, "query", 1, || {
             for &a in arts {
-                std::hint::black_box(
-                    run_artifact_report_cached(a, &fig_cfg, &cache).tables().len(),
-                );
+                std::hint::black_box(run_artifact_report(a, &fig_cfg, &cache).tables().len());
             }
         }));
     }
     let chaos_cfg = ReproConfig { chaos: true, ..fig_cfg.clone() };
     kernels.push(time_kernel("chaos_quick", "query", 1, || {
-        let c = crate::chaos::run_chaos_cached(&chaos_cfg, &cache);
+        let c = crate::chaos::run_chaos(&chaos_cfg, &cache);
         std::hint::black_box(c.systems.len());
     }));
 

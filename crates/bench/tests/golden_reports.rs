@@ -20,7 +20,7 @@
 //!
 //! and likewise for `chaos --quick` and `durability --quick`.
 
-use bench::{render_json, run_artifact_report_cached, Artifact, ArtifactRun, ReproConfig};
+use bench::{render_json, run_artifact_report, Artifact, ArtifactRun, ReproConfig};
 
 fn quick() -> ReproConfig {
     ReproConfig { quick: true, ..ReproConfig::default() }
@@ -67,7 +67,7 @@ fn quick_all_matches_golden() {
         .iter()
         .map(|&a| ArtifactRun {
             artifact: a,
-            report: run_artifact_report_cached(a, &cfg, &cache),
+            report: run_artifact_report(a, &cfg, &cache),
             elapsed_ms: 0.0,
         })
         .collect();
@@ -77,7 +77,7 @@ fn quick_all_matches_golden() {
 #[test]
 fn quick_chaos_matches_golden() {
     let cfg = quick();
-    let c = bench::chaos::run_chaos(&cfg);
+    let c = bench::chaos::run_chaos(&cfg, &sim::BedCache::new());
     assert_golden(
         "chaos",
         &bench::chaos::render_chaos_json(&cfg, &c),
@@ -88,7 +88,7 @@ fn quick_chaos_matches_golden() {
 #[test]
 fn quick_durability_matches_golden() {
     let cfg = quick();
-    let d = bench::durability::run_durability(&cfg);
+    let d = bench::durability::run_durability(&cfg, &sim::BedCache::new());
     assert_golden(
         "durability",
         &bench::durability::render_durability_json(&cfg, &d),

@@ -1,22 +1,16 @@
-//! Multi-attribute query planning — moved to the trait level.
+//! LORM-specific tests of multi-attribute query planning.
 //!
-//! The `Parallel`/`Sequential` planner that used to live here as
-//! LORM-only inherent methods is now a capability of **every**
-//! [`ResourceDiscovery`](grid_resource::ResourceDiscovery) system
-//! (the `query_planned` default method), with a
-//! third, selectivity-driven `Adaptive` plan on top. See
-//! [`grid_resource::planner`] for the plan semantics and
-//! [`grid_resource::selectivity`] for the per-attribute histograms the
-//! adaptive plan orders by. This module re-exports [`QueryPlan`] so
-//! `lorm::QueryPlan` keeps working, and keeps the LORM-specific plan
-//! tests next to the system they exercise.
-
-pub use grid_resource::QueryPlan;
+//! Planning is a capability of every
+//! [`ResourceDiscovery`](grid_resource::ResourceDiscovery) system (the
+//! `query_planned` default method); see [`grid_resource::planner`] for
+//! the `Parallel` / `Sequential` / `Adaptive` semantics and
+//! [`grid_resource::selectivity`] for the histograms the adaptive plan
+//! orders by. These tests pin the plans against LORM.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Lorm, LormConfig};
+    use grid_resource::QueryPlan;
     use grid_resource::{QueryMix, ResourceDiscovery, Workload, WorkloadConfig};
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};

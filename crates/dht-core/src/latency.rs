@@ -5,7 +5,7 @@
 //! delay so route traces can be replayed into latency distributions (the
 //! `latency` experiment). Sub-queries issued in parallel complete at the
 //! *maximum* of their latencies; sequential plans pay the *sum* — which is
-//! exactly the trade `lorm::QueryPlan` exposes.
+//! exactly the trade `grid_resource::QueryPlan` exposes.
 
 use rand::Rng;
 

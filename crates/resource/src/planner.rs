@@ -187,12 +187,7 @@ pub fn resolve_in_order(
         tally.hops += out.tally.hops;
         tally.lookups += out.tally.lookups;
         tally.visited += out.tally.visited;
-        // Order-preserving dedup: a directory visited twice probes once.
-        for p in out.probed {
-            if !probed_all.contains(&p) {
-                probed_all.push(p);
-            }
-        }
+        probed_all.extend(out.probed);
         let mut found = out.owners;
         if first {
             // First step ships its full match list (one entry per piece,
@@ -211,7 +206,21 @@ pub fn resolve_in_order(
             tally.matches += survivors.len();
         }
     }
+    // A directory visited twice probes once.
+    dedup_first_occurrences(&mut probed_all);
     Ok(QueryOutcome { tally, owners: survivors, probed: probed_all })
+}
+
+/// Drop repeated entries, keeping each value's first occurrence in
+/// order, in O(k log k). Sorting (value, position) pairs puts each
+/// value's first occurrence at the head of its run.
+fn dedup_first_occurrences(v: &mut Vec<NodeIdx>) {
+    let mut firsts: Vec<(NodeIdx, usize)> = v.iter().copied().zip(0..).collect();
+    firsts.sort_unstable();
+    firsts.dedup_by_key(|&mut (node, _)| node);
+    firsts.sort_unstable_by_key(|&(_, pos)| pos);
+    v.clear();
+    v.extend(firsts.into_iter().map(|(node, _)| node));
 }
 
 #[cfg(test)]
@@ -375,6 +384,28 @@ mod tests {
         assert_eq!(out.owners, vec![1, 2, 5]);
         assert_eq!(out.tally.matches, 4 + 3);
         assert!(out.tally.matches >= out.owners.len());
+    }
+
+    proptest::proptest! {
+        /// The sort-based dedup keeps exactly what the quadratic
+        /// `contains` loop it replaced kept, in the same order, including
+        /// Cycloid's `usize::MAX` sentinel anywhere in the list.
+        #[test]
+        fn probe_dedup_matches_the_contains_loop(
+            raw in proptest::collection::vec(0usize..42, 0..200),
+        ) {
+            // 40 and 41 stand for the sentinel.
+            let mut probed: Vec<NodeIdx> =
+                raw.into_iter().map(|x| NodeIdx(if x >= 40 { usize::MAX } else { x })).collect();
+            let mut reference: Vec<NodeIdx> = Vec::new();
+            for &p in &probed {
+                if !reference.contains(&p) {
+                    reference.push(p);
+                }
+            }
+            dedup_first_occurrences(&mut probed);
+            proptest::prop_assert_eq!(probed, reference);
+        }
     }
 
     #[test]

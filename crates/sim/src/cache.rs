@@ -28,20 +28,13 @@
 
 use crate::setup::{build_system, SimConfig, TestBed};
 use analysis::System;
+use dht_core::hashing::splitmix64;
 use grid_resource::{ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Collision-resistant fingerprint of every field that influences bed
 /// construction. Two configs with equal fingerprints build byte-identical
@@ -169,8 +162,8 @@ impl BedCache {
 mod tests {
     use super::*;
     use crate::experiments::query_batch;
-    use crate::experiments::{run_batch, Metric};
-    use grid_resource::QueryMix;
+    use crate::experiments::{run_batch, Exec, Metric};
+    use grid_resource::{QueryMix, QueryPlan};
 
     fn tiny() -> SimConfig {
         SimConfig { nodes: 64, attrs: 4, values: 8, dimension: 5, ..SimConfig::default() }
@@ -222,8 +215,10 @@ mod tests {
             fresh.seeds.seed() ^ 0xBED,
         );
         for (c, f) in cached.systems.iter().zip(&fresh.systems) {
-            let sc = run_batch(c.as_ref(), &batch, Metric::Hops);
-            let sf = run_batch(f.as_ref(), &batch, Metric::Hops);
+            let sc =
+                run_batch(c.as_ref(), &batch, &Exec::new(Metric::Hops, QueryPlan::Parallel, 0));
+            let sf =
+                run_batch(f.as_ref(), &batch, &Exec::new(Metric::Hops, QueryPlan::Parallel, 0));
             assert_eq!(sc, sf, "{}", f.name());
         }
     }
@@ -256,8 +251,8 @@ mod tests {
         let fresh = build_system(System::Maan, &workload, &cfg);
         let batch = query_batch(&workload, cfg.nodes, 8, 2, 2, QueryMix::Range, cfg.seed ^ 0xBED);
         assert_eq!(
-            run_batch(proto.as_ref(), &batch, Metric::Visited),
-            run_batch(fresh.as_ref(), &batch, Metric::Visited),
+            run_batch(proto.as_ref(), &batch, &Exec::new(Metric::Visited, QueryPlan::Parallel, 0)),
+            run_batch(fresh.as_ref(), &batch, &Exec::new(Metric::Visited, QueryPlan::Parallel, 0)),
         );
     }
 }

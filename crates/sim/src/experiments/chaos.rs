@@ -15,12 +15,12 @@
 //!   failure fraction (guaranteed by the fault-coin construction, see
 //!   `dht_core::fault`).
 
-use crate::experiments::{query_batch, run_batch, run_batch_faulty, Metric};
+use crate::experiments::{query_batch, run_batch, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
 use dht_core::{FaultPlan, Summary};
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use std::fmt;
 
 /// Sweep configuration for the chaos experiment.
@@ -122,7 +122,9 @@ pub struct Chaos {
 /// `setup.fault_seed`, so cells differ only in the configured rates —
 /// which is what makes the per-query monotonicity argument (and hence
 /// monotone success-rate curves) hold exactly, not just in expectation.
-pub fn chaos(bed: &TestBed, setup: ChaosSetup) -> Chaos {
+/// Each batch runs on `shards` workers (`0`: one per core); the sweep is
+/// bit-identical at every shard count.
+pub fn chaos(bed: &TestBed, setup: ChaosSetup, shards: usize) -> Chaos {
     let batch = query_batch(
         &bed.workload,
         bed.cfg.nodes,
@@ -134,14 +136,16 @@ pub fn chaos(bed: &TestBed, setup: ChaosSetup) -> Chaos {
     );
     let mut systems = Vec::with_capacity(bed.systems.len());
     for sys in &bed.systems {
-        let baseline = run_batch(sys.as_ref(), &batch, Metric::Hops);
+        let baseline =
+            run_batch(sys.as_ref(), &batch, &Exec::new(Metric::Hops, QueryPlan::Parallel, shards));
         let mut cells = Vec::with_capacity(setup.fail_fracs.len() * setup.loss_rates.len());
         for &fail_frac in &setup.fail_fracs {
             for &loss in &setup.loss_rates {
                 let plan = FaultPlan::new(setup.fault_seed, loss, fail_frac)
                     // lint:allow(panic-hygiene): sweep rates come from the setup literal; out-of-range rates are a harness bug
                     .expect("sweep rates must be probabilities");
-                let summary = run_batch_faulty(sys.as_ref(), &batch, Metric::Hops, &plan);
+                let summary =
+                    run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, shards));
                 cells.push(ChaosCell { loss, fail_frac, summary });
             }
         }
@@ -223,7 +227,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let c = chaos(&bed, tiny_setup());
+        let c = chaos(&bed, tiny_setup(), 1);
         assert_eq!(c.queries, 30);
         for sys in &c.systems {
             let zero = &sys.cells[0];
@@ -255,7 +259,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let c = chaos(&bed, tiny_setup());
+        let c = chaos(&bed, tiny_setup(), 1);
         for sys in &c.systems {
             let lossy = &sys.cells[1];
             assert_eq!(lossy.loss, 0.2);

@@ -29,7 +29,8 @@
 //! non-zero — the same pattern as `repro scale`'s growth checks.
 
 use crate::cache::BedCache;
-use crate::experiments::{run_batch_sharded, scoped_map, Metric};
+use crate::experiments::fig6::ChurnApplier;
+use crate::experiments::{run_batch, scoped_map, Exec, Metric};
 use crate::report::Report;
 use crate::setup::SimConfig;
 use crate::table::Table;
@@ -37,11 +38,11 @@ use analysis::System;
 use chord::{Chord, ChordConfig};
 use dht_core::{hashing::splitmix64, Overlay, Summary};
 use grid_resource::{
-    canonicalize_pieces, count_surviving, ChurnKind, ChurnSchedule, PieceKey, QueryMix,
+    canonicalize_pieces, count_surviving, ChurnKind, ChurnSchedule, PieceKey, QueryMix, QueryPlan,
     ResourceDiscovery, Workload,
 };
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::fmt;
 
 /// Durability sweep parameters.
@@ -69,9 +70,6 @@ pub struct DurabilitySetup {
     pub probe_per_origin: usize,
     /// Attributes per probe query.
     pub arity: usize,
-    /// Shard count for the probe batch (`0`/`1` runs inline; any value
-    /// produces bit-identical summaries).
-    pub shards: usize,
 }
 
 impl Default for DurabilitySetup {
@@ -86,7 +84,6 @@ impl Default for DurabilitySetup {
             probe_origins: 50,
             probe_per_origin: 4,
             arity: 3,
-            shards: 0,
         }
     }
 }
@@ -161,8 +158,8 @@ pub struct Durability {
 
 /// Drive one system through one durability run.
 ///
-/// The event loop mirrors the Figure 6 churn loop (same tick clock, same
-/// live-node picking, same join/leave/fail handling) with two deliberate
+/// Churn events go through the Figure 6 run's event applier (same
+/// live-node picking, same join/leave/fail handling), with two deliberate
 /// differences: no queries are issued during the run, and maintenance
 /// never calls `place_all` — only `stabilize`, so losses are permanent
 /// unless replication saves them.
@@ -170,7 +167,8 @@ pub struct Durability {
 /// None of the RNG draws depend on `k`, so every degree sees the same
 /// churn sample path; with nested replica-target sets (both placement
 /// rules are prefix rules in `k`) piece survival is pathwise monotone in
-/// the degree.
+/// the degree. The post-churn probe batch runs on `shards` workers (`0`:
+/// one per core); the cell is bit-identical at every shard count.
 pub fn run_durability_one(
     sys: &mut (dyn ResourceDiscovery + Send + Sync),
     workload: &Workload,
@@ -178,6 +176,7 @@ pub fn run_durability_one(
     setup: &DurabilitySetup,
     k: usize,
     seed: u64,
+    shards: usize,
 ) -> DurabilityCell {
     sys.set_replication(k);
     // Census before churn: replication adds copies, not identities, so
@@ -186,52 +185,12 @@ pub fn run_durability_one(
     sys.surviving_pieces_into(&mut initial);
     canonicalize_pieces(&mut initial);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut events_applied = 0usize;
-    let mut event_iter = schedule.events().iter().peekable();
+    let mut churn = ChurnApplier::new(schedule, true, sys);
     let mut next_maintenance = setup.maintenance_period;
-    let mut max_phys = sys.num_physical();
-    let pick_live =
-        |sys: &(dyn ResourceDiscovery + Send + Sync), max: usize, rng: &mut SmallRng| {
-            for _ in 0..64 {
-                let p = rng.gen_range(0..max);
-                if sys.is_live(p) {
-                    return Some(p);
-                }
-            }
-            None
-        };
     let ticks = (setup.duration * setup.tick_rate).round() as usize;
     for i in 0..ticks {
         let now = (i + 1) as f64 / setup.tick_rate;
-        while let Some(e) = event_iter.peek() {
-            if e.time > now {
-                break;
-            }
-            // lint:allow(panic-hygiene): peek above returned Some.
-            let e = event_iter.next().expect("peeked");
-            match e.kind {
-                ChurnKind::Join => {
-                    if sys.join_physical(&mut rng).is_ok() {
-                        max_phys += 1;
-                    }
-                }
-                ChurnKind::Leave => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.leave_physical(p);
-                        }
-                    }
-                }
-                ChurnKind::Fail => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.fail_physical(p);
-                        }
-                    }
-                }
-            }
-            events_applied += 1;
-        }
+        churn.advance(sys, now, &mut rng);
         // Maintenance repairs links and replicas — never the workload.
         if now >= next_maintenance {
             sys.stabilize();
@@ -246,19 +205,19 @@ pub fn run_durability_one(
     // Post-churn availability probe from live origins.
     let mut batch = Vec::with_capacity(setup.probe_origins * setup.probe_per_origin);
     for _ in 0..setup.probe_origins {
-        if let Some(origin) = pick_live(sys, max_phys, &mut rng) {
+        if let Some(origin) = churn.pick_live(sys, &mut rng) {
             for _ in 0..setup.probe_per_origin {
                 batch.push((origin, workload.random_query(setup.arity, QueryMix::Range, &mut rng)));
             }
         }
     }
-    let probe = run_batch_sharded(sys, &batch, Metric::Visited, setup.shards);
+    let probe = run_batch(sys, &batch, &Exec::new(Metric::Visited, QueryPlan::Parallel, shards));
     let rs = sys.repair_stats();
     DurabilityCell {
         initial: initial.len(),
         surviving,
         loss,
-        events: events_applied,
+        events: churn.applied,
         repair_rounds: rs.rounds(),
         repair_copies: rs.copies(),
         repair_promotions: rs.promotions(),
@@ -267,16 +226,17 @@ pub fn run_durability_one(
     }
 }
 
-/// Run the full durability sweep with a transient bed cache.
-pub fn durability(cfg: &SimConfig, setup: &DurabilitySetup) -> Durability {
-    durability_cached(cfg, setup, &BedCache::new())
-}
-
-/// [`durability`] against a caller-owned [`BedCache`]: every cell starts
-/// from a deep clone of one prototype per system, and the schedule for a
-/// rate is generated once and shared by every (system, degree) cell — a
-/// degree must never perturb the churn sample path.
-pub fn durability_cached(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCache) -> Durability {
+/// Run the full durability sweep. Every cell starts from a deep clone of
+/// one prototype per system held in `cache`, and the schedule for a rate
+/// is generated once and shared by every (system, degree) cell — a degree
+/// must never perturb the churn sample path. Probe batches run on
+/// `shards` workers (`0`: one per core).
+pub fn durability(
+    cfg: &SimConfig,
+    setup: &DurabilitySetup,
+    cache: &BedCache,
+    shards: usize,
+) -> Durability {
     let wl_seed = cfg.seed ^ 0xD7;
     let workload = cache.churn_workload(cfg, wl_seed);
     let mut rows = Vec::new();
@@ -298,6 +258,7 @@ pub fn durability_cached(cfg: &SimConfig, setup: &DurabilitySetup, cache: &BedCa
                     setup,
                     k,
                     cfg.seed ^ 0xD6 ^ (rate * 100.0) as u64,
+                    shards,
                 );
                 (s, cell)
             });
@@ -671,9 +632,9 @@ mod tests {
         let schedule =
             ChurnSchedule::generate_with_failures(0.5, setup.duration, 0.0, &mut sched_rng);
         let mut unrepl = build_system(System::Sword, &workload, &cfg);
-        let c1 = run_durability_one(unrepl.as_mut(), &workload, &schedule, &setup, 1, 23);
+        let c1 = run_durability_one(unrepl.as_mut(), &workload, &schedule, &setup, 1, 23, 1);
         let mut repl = build_system(System::Sword, &workload, &cfg);
-        let c3 = run_durability_one(repl.as_mut(), &workload, &schedule, &setup, 3, 23);
+        let c3 = run_durability_one(repl.as_mut(), &workload, &schedule, &setup, 3, 23, 1);
         assert_eq!(c1.initial, c3.initial, "replication must not add identities");
         assert!(c1.events > 0, "schedule produced no events");
         assert!(
@@ -693,7 +654,7 @@ mod tests {
     fn sweep_is_monotone_and_reports() {
         let cfg = small_cfg();
         let setup = tiny_setup();
-        let d = durability(&cfg, &setup);
+        let d = durability(&cfg, &setup, &BedCache::new(), 1);
         assert_eq!(d.rows.len(), setup.rates.len() * setup.degrees.len());
         assert!(d.k_monotonicity_violations().is_empty());
         let rep = d.report();

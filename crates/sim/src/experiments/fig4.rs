@@ -7,7 +7,7 @@
 //! "Analysis-SWORD/Mercury" (= MAAN ÷ 2, Theorem 4.8) derived from the
 //! measured MAAN.
 
-use crate::experiments::{query_batch, run_batch_all_planned, summary_of, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -43,26 +43,19 @@ pub struct Fig4 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 4 experiment on a mounted test bed.
+/// Run the Figure 4 experiment on a mounted test bed under `plan`, each
+/// batch on `shards` workers (`0`: one per core; the figure is
+/// bit-identical at every shard count). [`QueryPlan::Parallel`]
+/// reproduces the paper's figure exactly; sequential/adaptive plans keep
+/// the answer sets but change hop counts (each sub-query after the first
+/// still pays its lookup walk, so the curve shifts, not the ordering).
 pub fn fig4(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
     origins: usize,
     per_origin: usize,
-) -> Fig4 {
-    fig4_planned(bed, arities, origins, per_origin, QueryPlan::Parallel)
-}
-
-/// [`fig4`] under an explicit [`QueryPlan`]. The parallel plan
-/// reproduces the paper's figure exactly; sequential/adaptive plans keep
-/// the answer sets but change hop counts (each sub-query after the first
-/// still pays its lookup walk, so the curve shifts, not the ordering).
-pub fn fig4_planned(
-    bed: &TestBed,
-    arities: impl IntoIterator<Item = usize>,
-    origins: usize,
-    per_origin: usize,
     plan: QueryPlan,
+    shards: usize,
 ) -> Fig4 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
@@ -78,7 +71,7 @@ pub fn fig4_planned(
             QueryMix::NonRange,
             bed.seeds.seed() ^ 0xF400 ^ arity as u64,
         );
-        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Hops, plan);
+        let measured = run_batch_all(&bed.systems, &batch, &Exec::new(Metric::Hops, plan, shards));
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -156,7 +149,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, attrs: 30, values: 60, dimension: 7, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig4(&bed, [1, 5], 30, 5);
+        let fig = fig4(&bed, [1, 5], 30, 5, QueryPlan::Parallel, 0);
         assert_eq!(fig.rows.len(), 2);
         for r in &fig.rows {
             let [lorm, mercury, sword, maan] = r.avg;
@@ -181,7 +174,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig4(&bed, [2], 10, 3);
+        let fig = fig4(&bed, [2], 10, 3, QueryPlan::Parallel, 1);
         let r = &fig.rows[0];
         let p = cfg.params();
         let maan = r.avg[3];

@@ -6,7 +6,7 @@
 //! `m(1 + n/4)` Mercury, `m(2 + n/4)` MAAN, `m(1 + d/4)` LORM, `m` SWORD
 //! (513m / 514m / 3m / m for the paper's parameters).
 
-use crate::experiments::{query_batch, run_batch_all_planned, summary_of, Metric};
+use crate::experiments::{query_batch, run_batch_all, summary_of, Exec, Metric};
 use crate::report::Report;
 use crate::setup::TestBed;
 use crate::table::Table;
@@ -41,20 +41,18 @@ pub struct Fig5 {
     pub summaries: Vec<(&'static str, Summary)>,
 }
 
-/// Run the Figure 5 experiment.
-pub fn fig5(bed: &TestBed, arities: impl IntoIterator<Item = usize>, queries: usize) -> Fig5 {
-    fig5_planned(bed, arities, queries, QueryPlan::Parallel)
-}
-
-/// [`fig5`] under an explicit [`QueryPlan`]. The parallel plan
-/// reproduces the paper's figure exactly; the adaptive plan visits at most
-/// as many nodes (empty intermediate candidate sets short-circuit the
-/// remaining sub-query walks).
-pub fn fig5_planned(
+/// Run the Figure 5 experiment under `plan`, each batch on `shards`
+/// workers (`0`: one per core; the figure is bit-identical at every
+/// shard count). [`QueryPlan::Parallel`] reproduces the paper's figure
+/// exactly; the adaptive plan visits at most as many nodes (empty
+/// intermediate candidate sets short-circuit the remaining sub-query
+/// walks).
+pub fn fig5(
     bed: &TestBed,
     arities: impl IntoIterator<Item = usize>,
     queries: usize,
     plan: QueryPlan,
+    shards: usize,
 ) -> Fig5 {
     let p = bed.cfg.params();
     let mut rows = Vec::new();
@@ -70,7 +68,8 @@ pub fn fig5_planned(
             QueryMix::Range,
             bed.seeds.seed() ^ 0xF500 ^ arity as u64,
         );
-        let measured = run_batch_all_planned(&bed.systems, &batch, Metric::Visited, plan);
+        let measured =
+            run_batch_all(&bed.systems, &batch, &Exec::new(Metric::Visited, plan, shards));
         for (i, s) in System::ALL.iter().enumerate() {
             summaries[i].1.merge(summary_of(&measured, *s));
         }
@@ -140,7 +139,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 896, attrs: 30, values: 60, dimension: 7, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig5(&bed, [1, 4], 60);
+        let fig = fig5(&bed, [1, 4], 60, QueryPlan::Parallel, 0);
         for r in &fig.rows {
             let [lorm, mercury, sword, maan] = r.avg;
             // Theorem 4.9 ordering: MAAN ≈ Mercury (the paper plots them
@@ -170,7 +169,7 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 8, values: 20, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let fig = fig5(&bed, [2], 25);
+        let fig = fig5(&bed, [2], 25, QueryPlan::Parallel, 1);
         let r = &fig.rows[0];
         let p = cfg.params();
         for (i, s) in System::ALL.iter().enumerate() {

@@ -22,10 +22,12 @@ use crate::setup::SimConfig;
 use crate::table::Table;
 use analysis::{self as th, System};
 use dht_core::Summary;
-use grid_resource::{ChurnKind, ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
+use grid_resource::{ChurnEvent, ChurnKind, ChurnSchedule, QueryMix, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
+use std::iter::Peekable;
+use std::slice;
 
 /// Churn experiment parameters.
 #[derive(Debug, Clone)]
@@ -114,6 +116,75 @@ pub struct Fig6 {
     pub rows: Vec<Fig6Row>,
 }
 
+/// Replays a churn schedule against one system as its clock advances: the
+/// event loop the Figure 6 and durability runs share, so both draw their
+/// RNG in the same order.
+pub(crate) struct ChurnApplier<'s> {
+    events: Peekable<slice::Iter<'s, ChurnEvent>>,
+    /// A scheduled `Leave` departs gracefully (with handoff) when set,
+    /// and fails abruptly otherwise. A scheduled `Fail` always fails.
+    graceful_leave: bool,
+    /// Exclusive bound on the physical indices handed out so far.
+    max_phys: usize,
+    /// Churn events applied so far.
+    pub(crate) applied: usize,
+}
+
+impl<'s> ChurnApplier<'s> {
+    pub(crate) fn new(
+        schedule: &'s ChurnSchedule,
+        graceful_leave: bool,
+        sys: &(dyn ResourceDiscovery + Send + Sync),
+    ) -> Self {
+        Self {
+            events: schedule.events().iter().peekable(),
+            graceful_leave,
+            max_phys: sys.num_physical(),
+            applied: 0,
+        }
+    }
+
+    /// Apply every scheduled event due by `now`. Departures never shrink
+    /// the network below two nodes.
+    pub(crate) fn advance(
+        &mut self,
+        sys: &mut (dyn ResourceDiscovery + Send + Sync),
+        now: f64,
+        rng: &mut SmallRng,
+    ) {
+        while let Some(e) = self.events.next_if(|e| e.time <= now) {
+            match e.kind {
+                ChurnKind::Join => {
+                    if sys.join_physical(rng).is_ok() {
+                        self.max_phys += 1;
+                    }
+                }
+                ChurnKind::Leave | ChurnKind::Fail => {
+                    if sys.num_physical() > 2 {
+                        if let Some(p) = self.pick_live(sys, rng) {
+                            let _ = if e.kind == ChurnKind::Leave && self.graceful_leave {
+                                sys.leave_physical(p)
+                            } else {
+                                sys.fail_physical(p)
+                            };
+                        }
+                    }
+                }
+            }
+            self.applied += 1;
+        }
+    }
+
+    /// A uniformly drawn live node, or `None` after 64 dead draws.
+    pub(crate) fn pick_live(
+        &self,
+        sys: &(dyn ResourceDiscovery + Send + Sync),
+        rng: &mut SmallRng,
+    ) -> Option<usize> {
+        (0..64).map(|_| rng.gen_range(0..self.max_phys)).find(|&p| sys.is_live(p))
+    }
+}
+
 /// Drive one system through one churn run. Returns the metric summary.
 pub fn run_churn_one(
     sys: &mut (dyn ResourceDiscovery + Send + Sync),
@@ -131,59 +202,13 @@ pub fn run_churn_one(
         _ => QueryMix::Range,
     };
     let mut stats = Summary::new();
-    let mut events_applied = 0usize;
     let mut stale = 0usize;
     let mut sampled = 0usize;
-    let mut event_iter = schedule.events().iter().peekable();
+    let mut churn = ChurnApplier::new(schedule, setup.graceful, sys);
     let mut next_maintenance = setup.maintenance_period;
-    let mut max_phys = sys.num_physical();
-    let pick_live =
-        |sys: &(dyn ResourceDiscovery + Send + Sync), max: usize, rng: &mut SmallRng| {
-            for _ in 0..64 {
-                let p = rng.gen_range(0..max);
-                if sys.is_live(p) {
-                    return Some(p);
-                }
-            }
-            None
-        };
     for i in 0..setup.requests {
         let now = (i + 1) as f64 / setup.request_rate;
-        // apply all churn events up to `now`
-        while let Some(e) = event_iter.peek() {
-            if e.time > now {
-                break;
-            }
-            let e = event_iter.next().expect("peeked");
-            match e.kind {
-                ChurnKind::Join => {
-                    if sys.join_physical(&mut rng).is_ok() {
-                        max_phys += 1;
-                    }
-                }
-                ChurnKind::Leave => {
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = if setup.graceful {
-                                sys.leave_physical(p)
-                            } else {
-                                sys.fail_physical(p)
-                            };
-                        }
-                    }
-                }
-                ChurnKind::Fail => {
-                    // Scheduled ungraceful failure: no handoff regardless
-                    // of the graceful-departure setting.
-                    if sys.num_physical() > 2 {
-                        if let Some(p) = pick_live(sys, max_phys, &mut rng) {
-                            let _ = sys.fail_physical(p);
-                        }
-                    }
-                }
-            }
-            events_applied += 1;
-        }
+        churn.advance(sys, now, &mut rng);
         // periodic maintenance: repair links, refresh reports
         if now >= next_maintenance {
             sys.stabilize();
@@ -191,7 +216,7 @@ pub fn run_churn_one(
             next_maintenance += setup.maintenance_period;
         }
         // issue one query from a random live node
-        let Some(origin) = pick_live(sys, max_phys, &mut rng) else {
+        let Some(origin) = churn.pick_live(sys, &mut rng) else {
             stats.record_failure();
             continue;
         };
@@ -229,23 +254,18 @@ pub fn run_churn_one(
         failures: stats.failures() as usize,
         stats,
         queries: setup.requests,
-        events: events_applied,
+        events: churn.applied,
         stale,
         sampled,
     }
 }
 
-/// Run the full Figure 6 sweep for one metric, with a transient bed
-/// cache: each system is built once and every (rate, system) run starts
-/// from a deep clone of that prototype — identical to a fresh build, but
-/// the sweep pays construction once per system instead of once per cell.
-pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric) -> Fig6 {
-    fig6_cached(cfg, setup, metric, &BedCache::new())
-}
-
-/// [`fig6`] against a caller-owned [`BedCache`], so repeated sweeps (both
-/// fig6 metrics, the perf kernels) share one set of prototypes.
-pub fn fig6_cached(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCache) -> Fig6 {
+/// Run the full Figure 6 sweep for one metric. Each system is built once
+/// into `cache` and every (rate, system) run starts from a deep clone of
+/// that prototype — identical to a fresh build, but the sweep pays
+/// construction once per system instead of once per cell, and repeated
+/// sweeps (both fig6 metrics, the perf kernels) share the prototypes.
+pub fn fig6(cfg: &SimConfig, setup: &ChurnSetup, metric: Metric, cache: &BedCache) -> Fig6 {
     let p = cfg.params();
     let wl_seed = cfg.seed ^ 0xF6;
     let workload = cache.churn_workload(cfg, wl_seed);

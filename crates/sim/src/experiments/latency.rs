@@ -8,7 +8,7 @@
 //!   response hop;
 //! * a multi-attribute query resolved **in parallel** (§III) completes at
 //!   the *max* of its sub-query latencies;
-//! * resolved **sequentially** (`lorm::QueryPlan::Sequential`) it pays the
+//! * resolved **sequentially** (`grid_resource::QueryPlan::Sequential`) it pays the
 //!   *sum* — the latency side of the transfer-vs-latency trade the
 //!   query-planning ablation measures.
 

@@ -12,32 +12,11 @@ pub mod latency;
 pub mod maintenance;
 pub mod worstcase;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use analysis::System;
 use dht_core::{hashing::splitmix64, DhtError, FaultPlan, RouteCache, Summary};
 use grid_resource::{FaultyOutcome, Query, QueryMix, QueryPlan, ResourceDiscovery, Workload};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-
-/// Shard-count override for [`run_batch`]; `0` means "auto" (one shard
-/// per available core).
-static DEFAULT_SHARDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Set the number of shards [`run_batch`] splits each query batch into.
-/// `0` restores the default (one shard per available core). Applies
-/// process-wide; the `repro` binary wires its `--shards=N` flag here.
-pub fn set_default_shards(n: usize) {
-    DEFAULT_SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The shard count [`run_batch`] currently uses.
-pub fn default_shards() -> usize {
-    match DEFAULT_SHARDS.load(Ordering::Relaxed) {
-        0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        n => n,
-    }
-}
 
 /// Generate the paper's query batch: `origins` random requester nodes,
 /// `per_origin` queries each, all with the given arity and mix.
@@ -61,7 +40,7 @@ pub fn query_batch(
     batch
 }
 
-/// Reduction granularity of every executor: queries are always summarized
+/// Reduction granularity of [`run_batch`]: queries are always summarized
 /// per `MICRO_CHUNK`-sized slice and the per-slice summaries merged in
 /// batch order, whatever the shard count. The merge *sequence* is then a
 /// function of the batch alone, which makes every summary field —
@@ -99,43 +78,64 @@ fn msg_seed_at(plan: &FaultPlan, index: usize) -> u64 {
     splitmix64(plan.seed() ^ index as u64)
 }
 
-/// One executor call's query semantics: the system, the reported metric,
-/// the query plan, and an optional fault plan (fault-injected queries
-/// resolve every sub-query, as under [`QueryPlan::Parallel`]).
-#[derive(Clone, Copy)]
-struct Job<'a> {
-    sys: &'a (dyn ResourceDiscovery + Send + Sync),
-    metric: Metric,
-    plan: QueryPlan,
-    faults: Option<&'a FaultPlan>,
+/// What an executor call resolves each query under: fault-free under a
+/// [`QueryPlan`], or under a [`FaultPlan`]. A fault-injected query
+/// resolves every sub-query, as under [`QueryPlan::Parallel`], so a plan
+/// and a fault plan never combine.
+#[derive(Debug, Clone, Copy)]
+pub enum Mode<'a> {
+    /// Fault-free resolution under this plan.
+    Plan(QueryPlan),
+    /// Resolution under this fault plan.
+    Faults(&'a FaultPlan),
 }
 
-impl Job<'_> {
-    /// The one fan-out behind every executor. The batch splits into
-    /// [`MICRO_CHUNK`]-sized chunks; at `shards <= 1` they run on the
-    /// calling thread, otherwise each of `shards` scoped workers takes a
-    /// contiguous run of chunks. The shard count decides only *which
-    /// thread* summarizes each chunk, never the reduction order — so the
-    /// summary is bit-identical for every shard count.
-    fn fan_out(&self, batch: &[(usize, Query)], shards: usize) -> Summary {
-        let micro: Vec<(usize, &[(usize, Query)])> =
-            batch.chunks(MICRO_CHUNK).enumerate().map(|(i, c)| (i * MICRO_CHUNK, c)).collect();
-        if shards <= 1 || micro.len() <= 1 {
-            return merge_in_order(micro.iter().map(|&(base, c)| self.summarize(base, c)));
+/// One executor call's semantics: the reported metric, the resolution
+/// [`Mode`], and the shard count.
+#[derive(Debug, Clone, Copy)]
+pub struct Exec<'a> {
+    /// Which tally field the summary records.
+    pub metric: Metric,
+    /// Fault-free under a plan, or under a fault plan.
+    pub mode: Mode<'a>,
+    /// Worker threads per batch; `0` means one per available core. The
+    /// shard count decides only *which thread* summarizes each
+    /// micro-chunk, never the reduction order.
+    pub shards: usize,
+}
+
+impl<'a> Exec<'a> {
+    /// Fault-free execution under `plan`.
+    pub fn new(metric: Metric, plan: QueryPlan, shards: usize) -> Self {
+        Self { metric, mode: Mode::Plan(plan), shards }
+    }
+
+    /// Execution under `faults`. With an inert fault plan the summary is
+    /// bit-identical to [`Exec::new`] at [`QueryPlan::Parallel`].
+    pub fn faulty(metric: Metric, faults: &'a FaultPlan, shards: usize) -> Self {
+        Self { metric, mode: Mode::Faults(faults), shards }
+    }
+
+    /// The worker count a shard count asks for: `0` resolves to one
+    /// worker per available core. The only place that rule lives.
+    fn workers(&self) -> usize {
+        match self.shards {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
         }
-        let runs: Vec<_> = micro.chunks(micro.len().div_ceil(shards)).collect();
-        let parts = scoped_map(runs, |run| {
-            run.iter().map(|&(base, c)| self.summarize(base, c)).collect::<Vec<_>>()
-        });
-        merge_in_order(parts.into_iter().flatten())
     }
 
     /// Summarize one micro-chunk whose first query sits at batch position
     /// `base`.
-    fn summarize(&self, base: usize, chunk: &[(usize, Query)]) -> Summary {
+    fn summarize(
+        &self,
+        sys: &(dyn ResourceDiscovery + Send + Sync),
+        base: usize,
+        chunk: &[(usize, Query)],
+    ) -> Summary {
         let mut s = Summary::new();
         for (j, (phys, q)) in chunk.iter().enumerate() {
-            let Ok(f) = self.resolve_at(base + j, *phys, q) else {
+            let Ok(f) = self.resolve_at(sys, base + j, *phys, q) else {
                 s.record_failure();
                 continue;
             };
@@ -155,58 +155,49 @@ impl Job<'_> {
     /// enter through `query_planned_cached` (with the zero-sized
     /// [`RouteCache`] placeholder), so a benchmark proxy that overrides
     /// only that method sees every one of them.
-    fn resolve_at(&self, index: usize, phys: usize, q: &Query) -> Result<FaultyOutcome, DhtError> {
-        match self.faults {
-            None => self
-                .sys
-                .query_planned_cached(phys, q, self.plan, &mut RouteCache::new())
+    fn resolve_at(
+        &self,
+        sys: &(dyn ResourceDiscovery + Send + Sync),
+        index: usize,
+        phys: usize,
+        q: &Query,
+    ) -> Result<FaultyOutcome, DhtError> {
+        match self.mode {
+            Mode::Plan(plan) => sys
+                .query_planned_cached(phys, q, plan, &mut RouteCache::new())
                 .map(|out| FaultyOutcome::complete(out, q.arity())),
-            Some(f) => self.sys.query_from_faulty(phys, q, f, msg_seed_at(f, index)),
+            Mode::Faults(f) => sys.query_from_faulty(phys, q, f, msg_seed_at(f, index)),
         }
     }
 }
 
-/// Run a query batch against one system, summarizing a chosen metric.
+/// Run a query batch against one system and summarize `exec.metric`.
 /// Failed queries are counted via [`Summary::failures`] instead of being
-/// silently dropped.
+/// silently dropped; under a fault plan partial answers, retries and
+/// dropped messages are counted too.
 ///
-/// The batch is executed on [`default_shards`] scoped worker threads, but
-/// reduced deterministically: per fixed-size micro-chunk (`MICRO_CHUNK`,
-/// 64 queries), merged in batch order. The result is bit-identical for
-/// every shard count.
+/// The batch splits into micro-chunks of `MICRO_CHUNK` (64) queries.
+/// With one worker they run on the calling thread; otherwise each of the
+/// `exec.shards` scoped workers takes a contiguous run of chunks. Either
+/// way the chunk summaries merge in batch order, and fault coins are a
+/// pure function of (fault-plan seed, batch position), so every summary
+/// field is bit-identical for every shard count, under every mode.
 pub fn run_batch(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
-    metric: Metric,
+    exec: &Exec,
 ) -> Summary {
-    run_batch_sharded(sys, batch, metric, default_shards())
-}
-
-/// [`run_batch`] with an explicit shard count (`0` or `1` runs inline on
-/// the calling thread). The shard count decides only *which thread*
-/// summarizes each micro-chunk, never the reduction order.
-pub fn run_batch_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    shards: usize,
-) -> Summary {
-    run_batch_planned_sharded(sys, batch, metric, QueryPlan::Parallel, shards)
-}
-
-/// [`run_batch_sharded`] under an explicit [`QueryPlan`]: every query
-/// resolves through `query_planned_cached`, so sequential/adaptive plans
-/// thread their candidate sets inside the same ordered micro-chunk
-/// reduction. Bit-identical across shard counts for every plan, and
-/// byte-identical to [`run_batch_sharded`] at [`QueryPlan::Parallel`].
-pub fn run_batch_planned_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
-    shards: usize,
-) -> Summary {
-    Job { sys, metric, plan, faults: None }.fan_out(batch, shards)
+    let micro: Vec<(usize, &[(usize, Query)])> =
+        batch.chunks(MICRO_CHUNK).enumerate().map(|(i, c)| (i * MICRO_CHUNK, c)).collect();
+    let workers = exec.workers();
+    if workers <= 1 || micro.len() <= 1 {
+        return merge_in_order(micro.iter().map(|&(base, c)| exec.summarize(sys, base, c)));
+    }
+    let runs: Vec<_> = micro.chunks(micro.len().div_ceil(workers)).collect();
+    let parts = scoped_map(runs, |run| {
+        run.iter().map(|&(base, c)| exec.summarize(sys, base, c)).collect::<Vec<_>>()
+    });
+    merge_in_order(parts.into_iter().flatten())
 }
 
 /// Per-worker [`RouteCache`] placeholders for
@@ -214,8 +205,9 @@ pub fn run_batch_planned_sharded(
 /// which holds one pool per system and reads its first entry.
 pub type CachePool = Vec<RouteCache>;
 
-/// [`run_batch_planned_sharded`] for callers that hold a [`CachePool`]:
-/// the summary is the same, and the pool is left non-empty.
+/// [`run_batch`] under a [`QueryPlan`] for callers that hold a
+/// [`CachePool`]: the summary is the same, and the pool is left
+/// non-empty. Kept for the benchmark adapter, which names it.
 pub fn run_batch_planned_cached_pooled(
     sys: &(dyn ResourceDiscovery + Send + Sync),
     batch: &[(usize, Query)],
@@ -227,50 +219,20 @@ pub fn run_batch_planned_cached_pooled(
     if pool.is_empty() {
         pool.push(RouteCache::new());
     }
-    run_batch_planned_sharded(sys, batch, metric, plan, shards)
-}
-
-/// [`run_batch`] under a fault plan, on [`default_shards`] workers.
-/// With an inert plan the result is bit-identical to [`run_batch`].
-pub fn run_batch_faulty(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-) -> Summary {
-    run_batch_faulty_sharded(sys, batch, metric, plan, default_shards())
-}
-
-/// [`run_batch_faulty`] with an explicit shard count. Fault coins are a
-/// pure function of `(plan seed, global batch position)` and reduction
-/// follows the same ordered micro-chunk scheme as [`run_batch_sharded`],
-/// so every summary field — including the degradation counters — is
-/// bit-identical across shard counts.
-pub fn run_batch_faulty_sharded(
-    sys: &(dyn ResourceDiscovery + Send + Sync),
-    batch: &[(usize, Query)],
-    metric: Metric,
-    plan: &FaultPlan,
-    shards: usize,
-) -> Summary {
-    Job { sys, metric, plan: QueryPlan::Parallel, faults: Some(plan) }.fan_out(batch, shards)
+    run_batch(sys, batch, &Exec::new(metric, plan, shards))
 }
 
 /// Run the same batch against every mounted system in parallel, one
 /// thread per system (they are independent and querying is `&self`),
 /// each of which shards its batch further, for `systems × shards` total
-/// workers. The figure pipelines thread their `--plan=` override through
+/// workers. The figure pipelines thread their `--plan=` choice through
 /// here; plan choice never alters owner sets, only the cost tallies.
-pub fn run_batch_all_planned(
+pub fn run_batch_all(
     systems: &[Box<dyn ResourceDiscovery + Send + Sync>],
     batch: &[(usize, Query)],
-    metric: Metric,
-    plan: QueryPlan,
+    exec: &Exec,
 ) -> Vec<(&'static str, Summary)> {
-    let shards = default_shards();
-    scoped_map(systems.iter().collect(), |sys| {
-        (sys.name(), run_batch_planned_sharded(sys.as_ref(), batch, metric, plan, shards))
-    })
+    scoped_map(systems.iter().collect(), |sys| (sys.name(), run_batch(sys.as_ref(), batch, exec)))
 }
 
 /// Which tally field an experiment reports.
@@ -309,22 +271,24 @@ mod tests {
     use super::*;
     use crate::setup::{SimConfig, TestBed};
     use grid_resource::{PieceKey, QueryOutcome, ResourceInfo};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn parallel_batch_equals_sequential_batch() {
-        // run_batch_all_planned fans the systems out over threads (and each
+        // run_batch_all fans the systems out over threads (and each
         // system shards its batch); every summary must be bit-identical to
         // a single-threaded, single-shard run.
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 20, 2, 2, QueryMix::Range, 0x77);
-        let parallel =
-            run_batch_all_planned(&bed.systems, &batch, Metric::Visited, QueryPlan::Parallel);
+        let batch = query_batch(&bed.workload, cfg.nodes, 20, 5, 2, QueryMix::Range, 0x77);
+        assert!(batch.len() > MICRO_CHUNK, "the batch must span several micro-chunks");
+        let exec = Exec::new(Metric::Visited, QueryPlan::Parallel, 0);
+        let parallel = run_batch_all(&bed.systems, &batch, &exec);
         assert_eq!(parallel.len(), bed.systems.len());
         for (name, par) in &parallel {
             let sys = bed.systems.iter().find(|s| s.name() == *name).unwrap();
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+            let seq = run_batch(sys.as_ref(), &batch, &Exec { shards: 1, ..exec });
             assert_summaries_bit_identical(par, &seq, name);
         }
     }
@@ -334,11 +298,13 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0x3A);
+        let batch = query_batch(&bed.workload, cfg.nodes, 15, 10, 3, QueryMix::Range, 0x3A);
+        assert!(batch.len() > MICRO_CHUNK, "the batch must span several micro-chunks");
         for sys in &bed.systems {
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, 1);
-            for shards in [2usize, 3, 4, 7, 16, 64, batch.len(), batch.len() + 5] {
-                let par = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, shards);
+            let exec = Exec::new(Metric::Hops, QueryPlan::Parallel, 1);
+            let seq = run_batch(sys.as_ref(), &batch, &exec);
+            for shards in [0usize, 2, 3, 4, 7, 16, 64, batch.len(), batch.len() + 5] {
+                let par = run_batch(sys.as_ref(), &batch, &Exec { shards, ..exec });
                 let name = sys.name();
                 assert_eq!(par.count(), seq.count(), "{name} shards={shards}");
                 assert_eq!(par.failures(), seq.failures(), "{name} shards={shards}");
@@ -367,13 +333,18 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 2, QueryMix::Range, 0x99);
+        let batch = query_batch(&bed.workload, cfg.nodes, 15, 10, 2, QueryMix::Range, 0x99);
+        assert!(batch.len() > MICRO_CHUNK, "the batch must span several micro-chunks");
         let plan = FaultPlan::new(0xFA57, 0.0, 0.0).unwrap();
         for sys in &bed.systems {
             for shards in [1usize, 3] {
-                let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, shards);
+                let plain = run_batch(
+                    sys.as_ref(),
+                    &batch,
+                    &Exec::new(Metric::Hops, QueryPlan::Parallel, shards),
+                );
                 let faulty =
-                    run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
+                    run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, shards));
                 let ctx = format!("{} shards={shards}", sys.name());
                 assert_summaries_bit_identical(&faulty, &plain, &ctx);
                 assert_eq!(faulty.retries(), 0, "{ctx}");
@@ -388,14 +359,15 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0x3B);
+        let batch = query_batch(&bed.workload, cfg.nodes, 15, 10, 3, QueryMix::Range, 0x3B);
+        assert!(batch.len() > MICRO_CHUNK, "the batch must span several micro-chunks");
         let plan = FaultPlan::new(0xFA58, 0.15, 0.05).unwrap();
         for sys in &bed.systems {
-            let seq = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 1);
+            let seq = run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, 1));
             assert!(seq.dropped_msgs() > 0, "{}: 15% loss should drop some messages", sys.name());
-            for shards in [2usize, 3, 7, 16] {
+            for shards in [0usize, 2, 3, 7, 16] {
                 let par =
-                    run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, shards);
+                    run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, shards));
                 let ctx = format!("{} shards={shards}", sys.name());
                 assert_summaries_bit_identical(&par, &seq, &ctx);
             }
@@ -416,7 +388,11 @@ mod tests {
                 for shards in [1usize, 3] {
                     let mut pool = CachePool::new();
                     for metric in [Metric::Hops, Metric::Visited] {
-                        let plain = run_batch_sharded(sys.as_ref(), &batch, metric, shards);
+                        let plain = run_batch(
+                            sys.as_ref(),
+                            &batch,
+                            &Exec::new(metric, QueryPlan::Parallel, shards),
+                        );
                         let pooled = run_batch_planned_cached_pooled(
                             sys.as_ref(),
                             &batch,
@@ -453,7 +429,11 @@ mod tests {
             )
         };
         for (sys, pool) in bed.systems.iter().zip(pools.iter_mut()) {
-            let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+            let plain = run_batch(
+                sys.as_ref(),
+                &batch,
+                &Exec::new(Metric::Visited, QueryPlan::Parallel, 1),
+            );
             let got = pooled(sys.as_ref(), pool);
             assert_summaries_bit_identical(&got, &plain, &format!("{} pre-churn", sys.name()));
         }
@@ -465,7 +445,11 @@ mod tests {
             sys.place_all(&bed.workload.reports);
         }
         for (sys, pool) in bed.systems.iter().zip(pools.iter_mut()) {
-            let plain = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
+            let plain = run_batch(
+                sys.as_ref(),
+                &batch,
+                &Exec::new(Metric::Visited, QueryPlan::Parallel, 1),
+            );
             let got = pooled(sys.as_ref(), pool);
             assert_summaries_bit_identical(&got, &plain, &format!("{} post-churn", sys.name()));
         }
@@ -478,13 +462,14 @@ mod tests {
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 15, 3, 3, QueryMix::Range, 0x9A1);
+        let batch = query_batch(&bed.workload, cfg.nodes, 15, 10, 3, QueryMix::Range, 0x9A1);
+        assert!(batch.len() > MICRO_CHUNK, "the batch must span several micro-chunks");
         for sys in &bed.systems {
             for plan in QueryPlan::ALL {
                 for metric in [Metric::Hops, Metric::Visited, Metric::Matches, Metric::Lookups] {
-                    let base = run_batch_planned_sharded(sys.as_ref(), &batch, metric, plan, 1);
+                    let base = run_batch(sys.as_ref(), &batch, &Exec::new(metric, plan, 1));
                     let ctx = format!("{} {plan:?} {metric:?}", sys.name());
-                    let sharded = run_batch_planned_sharded(sys.as_ref(), &batch, metric, plan, 3);
+                    let sharded = run_batch(sys.as_ref(), &batch, &Exec::new(metric, plan, 3));
                     assert_summaries_bit_identical(&sharded, &base, &ctx);
                     for shards in [1usize, 3] {
                         let pooled = run_batch_planned_cached_pooled(
@@ -593,8 +578,7 @@ mod tests {
                 let ctx = format!("{} shards={shards}", sys.name());
                 assert_eq!(proxy.planned_cached.load(Ordering::Relaxed), batch.len(), "{ctx}");
                 assert!(!pool.is_empty(), "{ctx}: the adapter reads the pool's first entry");
-                let plain =
-                    run_batch_planned_sharded(sys.as_ref(), &batch, Metric::Hops, plan, shards);
+                let plain = run_batch(sys.as_ref(), &batch, &Exec::new(Metric::Hops, plan, shards));
                 assert_summaries_bit_identical(&got, &plain, &ctx);
             }
         }
@@ -602,22 +586,20 @@ mod tests {
 
     #[test]
     fn parallel_plan_executor_matches_classic_executor() {
-        // run_batch_sharded delegates to the planned executor at
-        // QueryPlan::Parallel; pin the equivalence explicitly.
+        // The CLI default, shards = 0, resolves to one worker per core and
+        // must summarize exactly like the inline (one-worker) run.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let auto = Exec::new(Metric::Hops, QueryPlan::Parallel, 0);
+        assert_eq!(auto.workers(), cores);
+        assert_eq!(Exec { shards: 5, ..auto }.workers(), 5);
         let cfg =
             SimConfig { nodes: 384, dimension: 6, attrs: 10, values: 30, ..SimConfig::default() };
         let bed = TestBed::new(cfg);
-        let batch = query_batch(&bed.workload, cfg.nodes, 10, 3, 2, QueryMix::Range, 0x9A2);
+        let batch = query_batch(&bed.workload, cfg.nodes, 30, 5, 2, QueryMix::Range, 0x9A2);
         for sys in &bed.systems {
-            let classic = run_batch_sharded(sys.as_ref(), &batch, Metric::Hops, 1);
-            let planned = run_batch_planned_sharded(
-                sys.as_ref(),
-                &batch,
-                Metric::Hops,
-                QueryPlan::Parallel,
-                1,
-            );
-            assert_summaries_bit_identical(&planned, &classic, sys.name());
+            let inline = run_batch(sys.as_ref(), &batch, &Exec { shards: 1, ..auto });
+            let got = run_batch(sys.as_ref(), &batch, &auto);
+            assert_summaries_bit_identical(&got, &inline, sys.name());
         }
     }
 
@@ -632,19 +614,15 @@ mod tests {
         let bed = TestBed::new(cfg);
         let batch = query_batch(&bed.workload, cfg.nodes, 25, 4, 4, QueryMix::Range, 0x9A3);
         for sys in &bed.systems {
-            let par = run_batch_planned_sharded(
+            let par = run_batch(
                 sys.as_ref(),
                 &batch,
-                Metric::Matches,
-                QueryPlan::Parallel,
-                1,
+                &Exec::new(Metric::Matches, QueryPlan::Parallel, 1),
             );
-            let ada = run_batch_planned_sharded(
+            let ada = run_batch(
                 sys.as_ref(),
                 &batch,
-                Metric::Matches,
-                QueryPlan::Adaptive,
-                1,
+                &Exec::new(Metric::Matches, QueryPlan::Adaptive, 1),
             );
             assert!(
                 ada.total() * 2.0 <= par.total(),
@@ -654,19 +632,15 @@ mod tests {
                 par.total()
             );
             // And adaptive never issues more lookups than parallel.
-            let par_l = run_batch_planned_sharded(
+            let par_l = run_batch(
                 sys.as_ref(),
                 &batch,
-                Metric::Lookups,
-                QueryPlan::Parallel,
-                1,
+                &Exec::new(Metric::Lookups, QueryPlan::Parallel, 1),
             );
-            let ada_l = run_batch_planned_sharded(
+            let ada_l = run_batch(
                 sys.as_ref(),
                 &batch,
-                Metric::Lookups,
-                QueryPlan::Adaptive,
-                1,
+                &Exec::new(Metric::Lookups, QueryPlan::Adaptive, 1),
             );
             assert!(ada_l.total() <= par_l.total(), "{}: lookup count", sys.name());
         }

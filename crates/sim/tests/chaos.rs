@@ -10,11 +10,11 @@
 //!   **byte-identical** to the fault-free path, at 1 and 3 shards.
 
 use dht_core::FaultPlan;
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use sim::experiments::chaos::{chaos, ChaosSetup};
-use sim::experiments::{query_batch, run_batch_faulty_sharded, run_batch_sharded, Metric};
+use sim::experiments::{query_batch, run_batch, Exec, Metric};
 use sim::setup::{SimConfig, TestBed};
-use sim::Report;
+use sim::{BedCache, Report};
 use std::sync::OnceLock;
 
 /// One shared 1024-node bed: building the four systems dominates the
@@ -42,7 +42,7 @@ fn soak_sweep_degrades_monotonically_and_accounts_every_query() {
         arity: 3,
         ..ChaosSetup::default()
     };
-    let c = chaos(bed(), setup.clone());
+    let c = chaos(bed(), setup.clone(), 0);
     let total = (setup.origins * setup.per_origin) as u64;
     assert_eq!(c.queries as u64, total);
     assert_eq!(c.systems.len(), 4, "all four systems swept");
@@ -97,14 +97,17 @@ fn zero_fault_plan_report_json_is_byte_identical_to_fault_free() {
         let mut faulty_seq = Report::new();
         let mut faulty_par = Report::new();
         for sys in &bed.systems {
-            plain.summary(sys.name(), run_batch_sharded(sys.as_ref(), &batch, metric, 1));
+            plain.summary(
+                sys.name(),
+                run_batch(sys.as_ref(), &batch, &Exec::new(metric, QueryPlan::Parallel, 1)),
+            );
             faulty_seq.summary(
                 sys.name(),
-                run_batch_faulty_sharded(sys.as_ref(), &batch, metric, &plan, 1),
+                run_batch(sys.as_ref(), &batch, &Exec::faulty(metric, &plan, 1)),
             );
             faulty_par.summary(
                 sys.name(),
-                run_batch_faulty_sharded(sys.as_ref(), &batch, metric, &plan, 3),
+                run_batch(sys.as_ref(), &batch, &Exec::faulty(metric, &plan, 3)),
             );
         }
         assert_eq!(plain.to_json(), faulty_seq.to_json(), "{metric:?} shards=1");
@@ -120,8 +123,8 @@ fn faulty_sweep_is_a_pure_function_of_the_seeds() {
     let batch = query_batch(&bed.workload, bed.cfg.nodes, 20, 3, 3, QueryMix::Range, 0x50AC);
     let plan = FaultPlan::new(0xC4A0_5EED, 0.2, 0.1).unwrap();
     for sys in &bed.systems {
-        let a = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 3);
-        let b = run_batch_faulty_sharded(sys.as_ref(), &batch, Metric::Hops, &plan, 3);
+        let a = run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, 3));
+        let b = run_batch(sys.as_ref(), &batch, &Exec::faulty(Metric::Hops, &plan, 3));
         assert_eq!(a.count(), b.count(), "{}", sys.name());
         assert_eq!(a.failures(), b.failures(), "{}", sys.name());
         assert_eq!(a.partial(), b.partial(), "{}", sys.name());
@@ -148,8 +151,8 @@ fn churn_with_interleaved_ungraceful_failures_stays_sound() {
     };
     let setup =
         ChurnSetup { graceful_ratio: 0.5, requests: 200, rates: vec![0.4], ..ChurnSetup::quick() };
-    let once = fig6(&cfg, &setup, Metric::Hops).report().to_json();
-    let again = fig6(&cfg, &setup, Metric::Hops).report().to_json();
+    let once = fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
+    let again = fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
     assert_eq!(once, again, "ungraceful churn must stay deterministic");
     for name in ["LORM", "Mercury", "SWORD", "MAAN"] {
         assert!(once.contains(name), "{name} missing from report: {once}");
@@ -165,8 +168,7 @@ fn soak_data_loss_is_monotone_in_replication_degree() {
     // replays the identical churn sample and both placement rules
     // (successor-list and leaf-set/cluster) are prefix rules in k — so
     // the assertion is exact, on integer counts.
-    use sim::experiments::durability::{durability_cached, DurabilitySetup};
-    use sim::BedCache;
+    use sim::experiments::durability::{durability, DurabilitySetup};
     let cfg =
         SimConfig { nodes: 1024, dimension: 8, attrs: 20, values: 60, ..SimConfig::default() };
     let setup = DurabilitySetup {
@@ -178,7 +180,7 @@ fn soak_data_loss_is_monotone_in_replication_degree() {
         probe_per_origin: 2,
         ..DurabilitySetup::quick()
     };
-    let d = durability_cached(&cfg, &setup, &BedCache::new());
+    let d = durability(&cfg, &setup, &BedCache::new(), 0);
     assert_eq!(d.rows.len(), 6, "2 rates x 3 degrees");
     let violations = d.k_monotonicity_violations();
     assert!(violations.is_empty(), "{violations:?}");

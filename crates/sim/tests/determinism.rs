@@ -3,21 +3,17 @@
 //! runs *and* across shard counts. This is the contract `cargo xtask
 //! lint` enforces statically; here it is checked dynamically on a real
 //! figure pipeline.
-//!
-//! Kept in its own integration-test binary because `set_default_shards`
-//! is a process-wide override.
 
+use grid_resource::QueryPlan;
 use sim::experiments::fig4::fig4;
-use sim::experiments::set_default_shards;
 use sim::setup::{SimConfig, TestBed};
 
+/// 16 origins × 5 queries = 80 per batch: more than one 64-query
+/// micro-chunk, so every shard count above one really splits the batch.
 fn fig4_json(shards: usize) -> String {
-    set_default_shards(shards);
     let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
     let bed = TestBed::new(cfg);
-    let json = fig4(&bed, [1, 3], 16, 4).report().to_json();
-    set_default_shards(0); // restore auto
-    json
+    fig4(&bed, [1, 3], 16, 5, QueryPlan::Parallel, shards).report().to_json()
 }
 
 #[test]
@@ -28,6 +24,8 @@ fn fig4_report_is_bit_identical_across_runs_and_shard_counts() {
 
     let sharded = fig4_json(3);
     assert_eq!(once, sharded, "shard count is an execution detail and must not leak into results");
+    let auto = fig4_json(0);
+    assert_eq!(once, auto, "shards=0 (one worker per core) must not leak into results either");
 }
 
 #[test]
@@ -37,14 +35,14 @@ fn cached_bed_fig4_is_byte_identical_to_fresh_build() {
     // built bed produces — at every shard count.
     use sim::BedCache;
     let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
+    let run = |bed: &TestBed, shards| {
+        fig4(bed, [1, 3], 16, 5, QueryPlan::Parallel, shards).report().to_json()
+    };
     for shards in [1usize, 3] {
-        set_default_shards(shards);
         let cache = BedCache::new();
-        let cached = cache.bed(cfg);
-        let cached_json = fig4(&cached, [1, 3], 16, 4).report().to_json();
-        let fresh_json = fig4(&TestBed::new(cfg), [1, 3], 16, 4).report().to_json();
-        let reused_json = fig4(&cache.bed(cfg), [1, 3], 16, 4).report().to_json();
-        set_default_shards(0);
+        let cached_json = run(&cache.bed(cfg), shards);
+        let fresh_json = run(&TestBed::new(cfg), shards);
+        let reused_json = run(&cache.bed(cfg), shards);
         assert_eq!(cached_json, fresh_json, "cached vs fresh at shards={shards}");
         assert_eq!(cached_json, reused_json, "second cache hit at shards={shards}");
         assert_eq!(cache.builds(), 1, "one build serves every consumer");
@@ -57,14 +55,14 @@ fn cached_churn_prototypes_leave_fig6_byte_identical() {
     // rate; the clones must behave exactly like fresh builds, and a
     // second run off the same cache must reproduce the first.
     use sim::cache::BedCache;
-    use sim::experiments::fig6::{fig6, fig6_cached, ChurnSetup};
+    use sim::experiments::fig6::{fig6, ChurnSetup};
     use sim::experiments::Metric;
     let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
     let setup = ChurnSetup { requests: 150, rates: vec![0.2, 0.5], ..ChurnSetup::quick() };
-    let fresh = fig6(&cfg, &setup, Metric::Hops).report().to_json();
+    let fresh = fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
     let cache = BedCache::new();
-    let cached = fig6_cached(&cfg, &setup, Metric::Hops, &cache).report().to_json();
-    let again = fig6_cached(&cfg, &setup, Metric::Hops, &cache).report().to_json();
+    let cached = fig6(&cfg, &setup, Metric::Hops, &cache).report().to_json();
+    let again = fig6(&cfg, &setup, Metric::Hops, &cache).report().to_json();
     assert_eq!(fresh, cached, "cached prototypes vs fresh builds");
     assert_eq!(cached, again, "prototype clones are reusable");
 }
@@ -76,12 +74,13 @@ fn graceful_ratio_one_leaves_fig6_byte_identical() {
     // pipeline must not perturb the paper's figures at the default.
     use sim::experiments::fig6::{fig6, ChurnSetup};
     use sim::experiments::Metric;
+    use sim::BedCache;
     let cfg = SimConfig { nodes: 256, attrs: 12, values: 50, dimension: 6, ..SimConfig::default() };
     let setup = ChurnSetup { requests: 200, rates: vec![0.2], ..ChurnSetup::quick() };
     assert_eq!(setup.graceful_ratio, 1.0, "default is graceful-only");
     let explicit = ChurnSetup { graceful_ratio: 1.0, ..setup.clone() };
-    let default_json = fig6(&cfg, &setup, Metric::Hops).report().to_json();
-    let explicit_json = fig6(&cfg, &explicit, Metric::Hops).report().to_json();
+    let default_json = fig6(&cfg, &setup, Metric::Hops, &BedCache::new()).report().to_json();
+    let explicit_json = fig6(&cfg, &explicit, Metric::Hops, &BedCache::new()).report().to_json();
     assert_eq!(default_json, explicit_json);
 }
 

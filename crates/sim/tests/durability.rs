@@ -1,7 +1,8 @@
 //! Determinism contract of the durability layer:
 //!
 //! * the durability `Report` JSON is **byte-identical** across probe
-//!   shard counts (1 vs 3) for any (seed, rate, degree) — replication
+//!   shard counts (1, 3, and 0 = one per core) for any (seed, rate,
+//!   degree) — replication
 //!   and repair live entirely outside the sharded reduction;
 //! * `set_replication(1)` is a strict no-op: a Figure 6 churn cell run
 //!   on a system that passed through `set_replication(1)` reproduces the
@@ -40,6 +41,7 @@ fn cell_json(
     rate: f64,
     k: usize,
     seed: u64,
+    shards: usize,
 ) -> String {
     let cfg = SimConfig { seed, ..small_cfg() };
     let wl_seed = seed ^ 0xD7;
@@ -52,7 +54,10 @@ fn cell_json(
         &mut sched_rng,
     );
     let mut sys = cache().churn_proto(system, &cfg, wl_seed);
-    let cell = run_durability_one(sys.as_mut(), &workload, &schedule, setup, k, seed ^ 0xD6);
+    let cell =
+        run_durability_one(sys.as_mut(), &workload, &schedule, setup, k, seed ^ 0xD6, shards);
+    let probes = cell.probe.count() + cell.probe.failures();
+    assert!(probes > 64, "{probes} probe queries: the batch must span two 64-query micro-chunks");
     let mut rep = Report::new();
     rep.summary(system.name(), cell.probe.clone());
     rep.note(format!(
@@ -72,7 +77,7 @@ fn cell_json(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Byte-identical durability JSON at probe shard counts 1 and 3, and
+    /// Byte-identical durability JSON at probe shard counts 1, 3 and 0, and
     /// across two replays of the same interleaving, for any seed, churn
     /// rate, and replication degree, on the systems with both placement
     /// rules (successor-list and leaf-set/cluster).
@@ -86,15 +91,19 @@ proptest! {
         let base = DurabilitySetup {
             duration: 100.0,
             graceful_ratio: 0.5,
-            probe_origins: 6,
+            // 80 probe queries: more than one 64-query micro-chunk, so
+            // shards 3 and 0 really split the batch across threads.
+            probe_origins: 40,
             probe_per_origin: 2,
             ..DurabilitySetup::quick()
         };
         for system in [analysis::System::Sword, analysis::System::Lorm] {
-            let one = cell_json(system, &DurabilitySetup { shards: 1, ..base.clone() }, rate, k, seed);
-            let three = cell_json(system, &DurabilitySetup { shards: 3, ..base.clone() }, rate, k, seed);
+            let one = cell_json(system, &base, rate, k, seed, 1);
+            let three = cell_json(system, &base, rate, k, seed, 3);
             prop_assert_eq!(&one, &three, "shard count changed durability bytes");
-            let replay = cell_json(system, &DurabilitySetup { shards: 3, ..base.clone() }, rate, k, seed);
+            let auto = cell_json(system, &base, rate, k, seed, 0);
+            prop_assert_eq!(&one, &auto, "shards=0 (one per core) changed durability bytes");
+            let replay = cell_json(system, &base, rate, k, seed, 3);
             prop_assert_eq!(&three, &replay, "replay changed durability bytes");
         }
     }

@@ -4,8 +4,9 @@
 //! failure accounting).
 
 use dht_core::Summary;
+use grid_resource::QueryPlan;
 use proptest::prelude::*;
-use sim::experiments::{run_batch_sharded, Metric};
+use sim::experiments::{run_batch, Exec, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -56,9 +57,9 @@ proptest! {
     /// exactly what the sequential run observes, on every system.
     fn sharded_run_batch_equals_sequential(
         origins in 1usize..10,
-        per_origin in 1usize..4,
+        per_origin in 1usize..20,
         arity in 1usize..4,
-        shards in 1usize..48,
+        shards in 0usize..48,
         seed in any::<u32>(),
     ) {
         let bed = bed();
@@ -72,8 +73,9 @@ proptest! {
             seed as u64,
         );
         for sys in &bed.systems {
-            let seq = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, 1);
-            let par = run_batch_sharded(sys.as_ref(), &batch, Metric::Visited, shards);
+            let exec = Exec::new(Metric::Visited, QueryPlan::Parallel, shards);
+            let seq = run_batch(sys.as_ref(), &batch, &Exec { shards: 1, ..exec });
+            let par = run_batch(sys.as_ref(), &batch, &exec);
             prop_assert_eq!(
                 exact_stats(&par),
                 exact_stats(&seq),
@@ -120,7 +122,7 @@ proptest! {
 
     /// Splitting any observation sequence into contiguous shards and
     /// merging in order reconstructs the unsharded summary exactly —
-    /// the scalar model of `run_batch_sharded`.
+    /// the scalar model of `run_batch`.
     fn contiguous_shard_merge_reconstructs_summary(
         obs in prop::collection::vec(0.0f64..4096.0, 1..60),
         chunk in 1usize..20,

@@ -5,11 +5,11 @@
 //! is the contract that lets the `BedCache` hand one stabilized build
 //! to many consumers.
 
-use grid_resource::QueryMix;
+use grid_resource::{QueryMix, QueryPlan};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sim::experiments::{query_batch, run_batch, Metric};
+use sim::experiments::{query_batch, run_batch, Exec, Metric};
 use sim::setup::{SimConfig, TestBed};
 use std::sync::OnceLock;
 
@@ -33,7 +33,11 @@ fn observe(bed: &TestBed) -> Vec<(usize, usize, dht_core::Summary)> {
     bed.systems
         .iter()
         .map(|s| {
-            (s.num_physical(), s.total_pieces(), run_batch(s.as_ref(), &batch, Metric::Visited))
+            (
+                s.num_physical(),
+                s.total_pieces(),
+                run_batch(s.as_ref(), &batch, &Exec::new(Metric::Visited, QueryPlan::Parallel, 0)),
+            )
         })
         .collect()
 }

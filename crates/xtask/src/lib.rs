@@ -347,11 +347,11 @@ mod tests {
                 file: "crates/sim/src/x.rs".into(),
                 line: 7,
                 message: "m".into(),
-                trace: Some(vec!["sim::run_batch_sharded".into(), "sim::helper".into()]),
+                trace: Some(vec!["sim::run_batch".into(), "sim::helper".into()]),
             }],
             ..LintReport::default()
         };
         let j = render_json_v2(&r);
-        assert!(j.contains("\"trace\": [\"sim::run_batch_sharded\", \"sim::helper\"]"), "{j}");
+        assert!(j.contains("\"trace\": [\"sim::run_batch\", \"sim::helper\"]"), "{j}");
     }
 }

@@ -1,5 +1,5 @@
 //! Entry crate for the reachability-retirement fixture workspace.
 
-pub fn run_batch_sharded(o: &Overlay) -> usize {
+pub fn run_batch(o: &Overlay) -> usize {
     hot(o)
 }

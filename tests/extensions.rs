@@ -4,8 +4,8 @@
 
 use baselines::{CompositeConfig, CompositeFlat};
 use dht_core::FaultPlan;
+use grid_resource::QueryPlan;
 use lorm::semantic::{SemanticCodec, SemanticDirectory};
-use lorm::QueryPlan;
 use lorm_repro::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};

@@ -11,7 +11,7 @@
 
 use lorm_repro::grid_resource::{QueryPlan, SelectivityEstimator};
 use lorm_repro::prelude::*;
-use lorm_repro::sim::experiments::{run_batch_planned_sharded, Metric};
+use lorm_repro::sim::experiments::{run_batch, Exec, Metric};
 use lorm_repro::sim::Report;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -116,8 +116,7 @@ fn plan_choice_keeps_report_json_identical_across_shards() {
         let report_at = |shards: usize| {
             let mut rep = Report::new();
             for sys in &bed.systems {
-                let s =
-                    run_batch_planned_sharded(sys.as_ref(), &batch, Metric::Matches, plan, shards);
+                let s = run_batch(sys.as_ref(), &batch, &Exec::new(Metric::Matches, plan, shards));
                 rep.summary(sys.name(), s);
             }
             rep.to_json()
